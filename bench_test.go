@@ -13,6 +13,7 @@
 package npbgo_test
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"testing"
@@ -21,6 +22,7 @@ import (
 	"npbgo/internal/cg"
 	"npbgo/internal/grid"
 	"npbgo/internal/jgf"
+	"npbgo/internal/kernel"
 	"npbgo/internal/lu"
 	"npbgo/internal/ops"
 	"npbgo/internal/team"
@@ -224,7 +226,11 @@ func BenchmarkAblationLUSchedule(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					if res := bench.Run(); res.Verify.Failed() {
+					res, err := kernel.Run(context.Background(), bench, kernel.Config{})
+					if err != nil {
+						b.Fatal(err)
+					}
+					if res.Verify.Failed() {
 						b.Fatal("verification failed")
 					}
 				}
@@ -249,7 +255,11 @@ func BenchmarkAblationCGBallast(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if res := bench.Run(); !res.Verify.Passed() {
+				res, err := kernel.Run(context.Background(), bench, kernel.Config{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !res.Verify.Passed() {
 					b.Fatal("verification failed")
 				}
 			}

@@ -33,11 +33,12 @@ import (
 )
 
 // defaultPkgs are the hot packages the report covers: the eight kernels
-// plus the shared runtime (team), the solver core (nscore) they inline,
-// and the counter sampler (perfcount) whose RegionStart/RegionEnd run
-// inside every sampled region.
+// plus the driver (kernel) whose loop runs their timed steps, the shared
+// runtime (team), the solver core (nscore) they inline, and the counter
+// sampler (perfcount) whose RegionStart/RegionEnd run inside every
+// sampled region.
 const defaultPkgs = "./internal/bt,./internal/cg,./internal/ep,./internal/ft," +
-	"./internal/is,./internal/lu,./internal/mg,./internal/sp," +
+	"./internal/is,./internal/lu,./internal/mg,./internal/sp,./internal/kernel," +
 	"./internal/team,./internal/nscore,./internal/perfcount"
 
 func main() {

@@ -1,6 +1,6 @@
 // Package allocgate is the dynamic half of the suite's allocation
 // discipline: it measures the steady-state heap allocations of every
-// benchmark's Iter hook and asserts them against the checked-in
+// benchmark's timed Step and asserts them against the checked-in
 // budgets in budgets.go. The static half is the hotalloc analyzer
 // (internal/analysis/hotalloc), which proves by inspection that the
 // hot region bodies contain no allocation sites; this package proves
@@ -10,26 +10,20 @@
 //
 // Each gate builds a benchmark, runs a few warm-up iterations so every
 // lazily constructed structure (cached pipelines, reused teams) exists,
-// then measures allocations per Iter with testing.AllocsPerRun. Field
+// then measures allocations per Step with testing.AllocsPerRun. Field
 // values are irrelevant to the measurement — allocation counts in
-// these kernels do not depend on the data — so the gates run Iter on
+// these kernels do not depend on the data — so the gates run Step on
 // freshly constructed (zero-valued) grids rather than reproducing each
 // benchmark's untimed setup phase.
 package allocgate
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
-	"npbgo/internal/bt"
-	"npbgo/internal/cg"
-	"npbgo/internal/ep"
-	"npbgo/internal/ft"
-	"npbgo/internal/is"
-	"npbgo/internal/lu"
-	"npbgo/internal/mg"
 	"npbgo/internal/perfcount"
-	"npbgo/internal/sp"
+	"npbgo/internal/suite"
 	"npbgo/internal/team"
 )
 
@@ -48,21 +42,21 @@ type Key struct {
 func (k Key) String() string { return fmt.Sprintf("%s.%c", k.Bench, k.Class) }
 
 // Measure builds benchmark k.Bench at class k.Class, warms its
-// steady-state hook with warm iterations, then returns the average
-// allocations per Iter over runs measured iterations (via
+// steady-state step with warm calls, then returns the average
+// allocations per Step over runs measured steps (via
 // testing.AllocsPerRun, which pins GOMAXPROCS to 1 for the
 // measurement).
 func Measure(k Key, warm, runs int) (float64, error) {
-	iter, err := newIter(k)
+	step, err := newStep(k)
 	if err != nil {
 		return 0, err
 	}
 	tm := team.New(Threads)
 	defer tm.Close()
 	for i := 0; i < warm; i++ {
-		iter(tm)
+		step(tm)
 	}
-	return testing.AllocsPerRun(runs, func() { iter(tm) }), nil
+	return testing.AllocsPerRun(runs, func() { step(tm) }), nil
 }
 
 // MeasureCounters measures the steady-state allocations of one sampled
@@ -93,63 +87,19 @@ func MeasureCounters(warm, runs int) (float64, error) {
 	return testing.AllocsPerRun(runs, region), nil
 }
 
-// newIter constructs the benchmark behind k and returns its Iter hook.
-func newIter(k Key) (func(tm *team.Team), error) {
-	switch k.Bench {
-	case "cg":
-		b, err := cg.New(k.Class, Threads)
-		if err != nil {
-			return nil, err
-		}
-		return func(tm *team.Team) { b.Iter(tm) }, nil
-	case "ep":
-		b, err := ep.New(k.Class, Threads)
-		if err != nil {
-			return nil, err
-		}
-		return b.Iter, nil
-	case "ft":
-		b, err := ft.New(k.Class, Threads)
-		if err != nil {
-			return nil, err
-		}
-		return func(tm *team.Team) { b.Iter(tm) }, nil
-	case "is":
-		b, err := is.New(k.Class, Threads)
-		if err != nil {
-			return nil, err
-		}
-		return b.Iter, nil
-	case "is-buckets":
-		b, err := is.New(k.Class, Threads, is.WithBuckets())
-		if err != nil {
-			return nil, err
-		}
-		return b.Iter, nil
-	case "mg":
-		b, err := mg.New(k.Class, Threads)
-		if err != nil {
-			return nil, err
-		}
-		return b.Iter, nil
-	case "lu":
-		b, err := lu.New(k.Class, Threads)
-		if err != nil {
-			return nil, err
-		}
-		return b.Iter, nil
-	case "bt":
-		b, err := bt.New(k.Class, Threads)
-		if err != nil {
-			return nil, err
-		}
-		return b.Iter, nil
-	case "sp":
-		b, err := sp.New(k.Class, Threads)
-		if err != nil {
-			return nil, err
-		}
-		return b.Iter, nil
+// newStep builds the benchmark behind k from the suite table and
+// returns its steady-state step: step 1, which for every benchmark with
+// more than one step is neither the first (FT's forward transform, MG's
+// initial resid) nor the last (MG's final norms).
+func newStep(k Key) (func(tm *team.Team), error) {
+	name, o := strings.ToUpper(k.Bench), suite.Options{}
+	if k.Bench == "is-buckets" {
+		name, o.Buckets = "IS", true
 	}
-	return nil, fmt.Errorf("allocgate: unknown benchmark %q", k.Bench)
+	b, err := suite.New(name, k.Class, Threads, o)
+	if err != nil {
+		return nil, fmt.Errorf("allocgate: %w", err)
+	}
+	step := min(1, b.Steps()-1)
+	return func(tm *team.Team) { b.Step(tm, step) }, nil
 }

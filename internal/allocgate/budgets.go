@@ -1,7 +1,7 @@
 package allocgate
 
 // Budgets is the checked-in ceiling on steady-state heap allocations
-// per Iter for every gated configuration, measured at Threads workers.
+// per Step for every gated configuration, measured at Threads workers.
 // Lowering a budget is always safe; raising one is a performance
 // regression and needs the same scrutiny as a slower benchmark result.
 //
@@ -11,7 +11,7 @@ package allocgate
 // operands are staged through benchmark fields, reductions go through
 // the team's block-indexed partial slots, and LU's plane pipeline is
 // cached per team. The former BT/SP per-step phase thunks were replaced
-// by plain Start/Stop calls, which is what took their budgets from
+// by plain phase-bracket calls, which is what took their budgets from
 // 22/30 to zero.
 var Budgets = map[Key]int{
 	{"cg", 'S'}: 0,

@@ -10,7 +10,7 @@ import (
 )
 
 // TestGate measures every budgeted configuration and asserts the
-// steady-state allocations per Iter stay within budget. Class S gates
+// steady-state allocations per Step stay within budget. Class S gates
 // always run; the W gates are skipped under -short (they execute
 // full-size iterations — EP's W iteration alone is seconds of work).
 //
@@ -52,7 +52,7 @@ func TestGate(t *testing.T) {
 				}
 			}
 			if got > float64(budget) {
-				t.Errorf("%s: %.1f allocs per Iter, budget %d (budgets.go)", k, got, budget)
+				t.Errorf("%s: %.1f allocs per Step, budget %d (budgets.go)", k, got, budget)
 			}
 		})
 	}

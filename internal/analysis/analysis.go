@@ -83,6 +83,31 @@ func Receiver(info *types.Info, call *ast.CallExpr) (recv *types.Named, method s
 	return named, sel.Sel.Name, true
 }
 
+// Declarer is Receiver for the type that declares the called method:
+// for a method promoted through an embedded field it returns the
+// embedded type (kernel.Phases for a benchmark's b.Begin), not the
+// receiver expression's type.
+func Declarer(info *types.Info, call *ast.CallExpr) (recv *types.Named, method string, ok bool) {
+	sel, isSel := call.Fun.(*ast.SelectorExpr)
+	if !isSel {
+		return nil, "", false
+	}
+	selection, isMeth := info.Selections[sel]
+	if !isMeth || selection.Kind() != types.MethodVal {
+		return nil, "", false
+	}
+	r := selection.Obj().(*types.Func).Type().(*types.Signature).Recv()
+	if r == nil {
+		return nil, "", false
+	}
+	t := r.Type()
+	if p, isPtr := t.(*types.Pointer); isPtr {
+		t = p.Elem()
+	}
+	named, isNamed := t.(*types.Named)
+	return named, sel.Sel.Name, isNamed
+}
+
 // IsNamed reports whether named is the type pkgPath.name.
 func IsNamed(named *types.Named, pkgPath, name string) bool {
 	obj := named.Obj()

@@ -17,13 +17,14 @@
 //     RunCtx, For, ForBlock, ReduceSum) — the body every worker
 //     executes. Pipeline steps are covered transitively: Wait/Post
 //     brackets only occur inside such bodies.
-//  2. Statements bracketed by timer.Set Start("name")/Stop("name")
-//     calls with literal names in the same block — the benchmarks'
-//     timed phases. Start/Stop wrapped in a nil guard (`if timers !=
-//     nil { ... }`) toggle the phase too; Stops deferred with `defer`
-//     do not close it (they run at function exit). Non-literal names
-//     (per-worker timer.Worker names, pass-through helpers) are
-//     ignored, mirroring the timerpair analyzer.
+//  2. Statements bracketed by timer.Set Start("name")/Stop("name") or
+//     kernel.Phases Begin("name")/End("name") calls with literal names
+//     in the same block — the benchmarks' timed phases. Toggles
+//     wrapped in a nil guard (`if timers != nil { ... }`) count too;
+//     closes deferred with `defer` do not close the phase (they run at
+//     function exit). Non-literal names (per-worker timer.Worker names,
+//     pass-through helpers) are ignored, mirroring the timerpair and
+//     tracepair analyzers.
 //  3. Code annotated `//npblint:hot` — on the line above (or the doc
 //     comment of) a function declaration, the whole body; on the line
 //     above or trailing a statement, that statement. An annotated
@@ -57,8 +58,9 @@ import (
 )
 
 const (
-	teamPath  = "npbgo/internal/team"
-	timerPath = "npbgo/internal/timer"
+	teamPath   = "npbgo/internal/team"
+	timerPath  = "npbgo/internal/timer"
+	kernelPath = "npbgo/internal/kernel"
 
 	// hotMarker annotates a declaration or statement as hot-path code.
 	hotMarker = "//npblint:hot"
@@ -273,10 +275,11 @@ func regionBody(pass *analysis.Pass, call *ast.CallExpr) (*ast.FuncLit, bool) {
 	return lit, ok
 }
 
-// phaseToggles returns the literal timer.Set phase names started and
-// stopped by stmt, looking through nil guards but not into function
-// literals (their Start/Stop runs on another goroutine's schedule) or
-// defers (a deferred Stop closes the phase at function exit, not here).
+// phaseToggles returns the literal timer.Set and kernel.Phases phase
+// names started and stopped by stmt, looking through nil guards but
+// not into function literals (their Start/Stop runs on another
+// goroutine's schedule) or defers (a deferred Stop closes the phase at
+// function exit, not here).
 func phaseToggles(pass *analysis.Pass, stmt ast.Stmt) (starts, stops []string) {
 	if _, ok := stmt.(*ast.DeferStmt); ok {
 		return nil, nil
@@ -288,18 +291,20 @@ func phaseToggles(pass *analysis.Pass, stmt ast.Stmt) (starts, stops []string) {
 		case *ast.DeferStmt:
 			return false
 		case *ast.CallExpr:
-			recv, method, isMeth := analysis.Receiver(pass.TypesInfo, v)
-			if !isMeth || !analysis.IsNamed(recv, timerPath, "Set") || len(v.Args) == 0 {
+			recv, method, isMeth := analysis.Declarer(pass.TypesInfo, v)
+			if !isMeth || len(v.Args) == 0 {
 				return true
 			}
+			timer := analysis.IsNamed(recv, timerPath, "Set")
+			bracket := analysis.IsNamed(recv, kernelPath, "Phases")
 			name, ok := analysis.StringLit(v.Args[0])
-			if !ok {
+			if !ok || !timer && !bracket {
 				return true
 			}
-			switch method {
-			case "Start":
+			switch {
+			case timer && method == "Start", bracket && method == "Begin":
 				starts = append(starts, name)
-			case "Stop":
+			case timer && method == "Stop", bracket && method == "End":
 				stops = append(stops, name)
 			}
 		}

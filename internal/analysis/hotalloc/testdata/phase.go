@@ -1,6 +1,7 @@
 package hotallocfixture
 
 import (
+	"npbgo/internal/kernel"
 	"npbgo/internal/team"
 	"npbgo/internal/timer"
 )
@@ -45,4 +46,17 @@ func phaseRegion(ts *timer.Set, tm *team.Team, out []float64, n int) {
 		}
 	})
 	ts.Stop("sweep")
+}
+
+// bench embeds the driver's phase bracket, as every benchmark does.
+type bench struct {
+	kernel.Phases
+}
+
+func (b *bench) bracketed(n int) []float64 {
+	b.Begin("rhs")
+	out := make([]float64, n) // want `make allocates in timed phase "rhs"`
+	b.End("rhs")
+	// After the End the block is cold again.
+	return append(out, make([]float64, n)...)
 }

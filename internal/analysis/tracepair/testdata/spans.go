@@ -3,7 +3,10 @@
 // analysistest.
 package fixture
 
-import "npbgo/internal/trace"
+import (
+	"npbgo/internal/kernel"
+	"npbgo/internal/trace"
+)
 
 // unclosed leaks the "sweeps" span: the exported trace fails
 // validation.
@@ -41,3 +44,28 @@ func mismatched(tr *trace.Tracer) {
 }
 
 func work() {}
+
+// bench embeds the driver's phase bracket, as every benchmark does.
+type bench struct {
+	kernel.Phases
+}
+
+// promotedUnclosed leaks "rhs" through the embedded kernel.Phases.
+func (b *bench) promotedUnclosed() {
+	b.Begin("rhs") // want `Phases.Begin\("rhs"\) has no matching End`
+	work()
+	b.End("xsolve")
+}
+
+// promotedPaired is a step's normal bracket.
+func (b *bench) promotedPaired() {
+	b.Begin("rhs")
+	work()
+	b.End("rhs")
+}
+
+// crossKinds does not let a tracer close pair a bracket open.
+func (b *bench) crossKinds(tr *trace.Tracer) {
+	b.Begin("sweeps") // want `Phases.Begin\("sweeps"\) has no matching End`
+	tr.EndPhase("sweeps")
+}

@@ -9,14 +9,10 @@ package bt
 
 import (
 	"fmt"
-	"time"
 
+	"npbgo/internal/kernel"
 	"npbgo/internal/nscore"
-	"npbgo/internal/obs"
-	"npbgo/internal/perfcount"
 	"npbgo/internal/team"
-	"npbgo/internal/timer"
-	"npbgo/internal/trace"
 	"npbgo/internal/verify"
 )
 
@@ -37,6 +33,8 @@ var classes = map[byte]classSpec{
 
 // Benchmark is a configured BT instance with all state allocated.
 type Benchmark struct {
+	kernel.Phases // rhs, xsolve, ysolve, zsolve, add
+
 	Class   byte
 	n       int
 	niter   int
@@ -44,11 +42,8 @@ type Benchmark struct {
 	c       nscore.Consts
 	f       *nscore.Field
 
-	timers *timer.Set         // nil unless WithTimers
-	rec    *obs.Recorder      // nil without WithObs
-	tr     *trace.Tracer      // nil without WithTrace
-	pc     *perfcount.Sampler // nil without WithCounters
-	sched  team.Schedule      // loop schedule, Static without WithSchedule
+	// XCR and XCE are the residual and error norms of the last Verify.
+	XCR, XCE [5]float64
 
 	scratch []*lineScratch // per-worker line solve storage
 
@@ -63,40 +58,9 @@ type Benchmark struct {
 	xBody, yBody, zBody func(id int)
 }
 
-// Option configures optional benchmark behaviour.
-type Option func(*Benchmark)
-
-// WithObs attaches a runtime-metrics recorder to the run's team:
-// per-worker busy and barrier-wait times, region counts and the
-// worker-imbalance ratio of the obs layer.
-func WithObs(rec *obs.Recorder) Option { return func(b *Benchmark) { b.rec = rec } }
-
-// WithTrace attaches an execution tracer to the run's team: per-worker
-// event timelines (region blocks, barrier and pipeline waits),
-// exportable as Chrome/Perfetto JSON — the when-view that complements
-// the obs layer's how-much totals.
-func WithTrace(tr *trace.Tracer) Option { return func(b *Benchmark) { b.tr = tr } }
-
-// WithCounters attaches a hardware-counter sampler to the run's team:
-// per-worker cycles/instructions/cache-miss deltas are charged to pc at
-// every parallel region. pc should be sized perfcount.New(threads); nil
-// leaves counter sampling disabled.
-func WithCounters(pc *perfcount.Sampler) Option { return func(b *Benchmark) { b.pc = pc } }
-
-// WithSchedule selects the team's loop schedule for the plane loops of
-// the RHS evaluation and the three implicit solves; team.Static (the
-// default) is the paper's block distribution. Every loop writes
-// disjoint planes, so results are bit-identical under every schedule.
-func WithSchedule(s team.Schedule) Option { return func(b *Benchmark) { b.sched = s } }
-
-// WithTimers enables per-phase profiling of the ADI steps (rhs and the
-// three solves), as the paper does when analyzing where the translated
-// code spends its time.
-func WithTimers() Option { return func(b *Benchmark) { b.timers = timer.NewSet() } }
-
 // New configures BT for the given class and thread count and allocates
 // its fields.
-func New(class byte, threads int, opts ...Option) (*Benchmark, error) {
+func New(class byte, threads int) (*Benchmark, error) {
 	spec, ok := classes[class]
 	if !ok {
 		return nil, fmt.Errorf("bt: unknown class %q", string(class))
@@ -105,9 +69,6 @@ func New(class byte, threads int, opts ...Option) (*Benchmark, error) {
 		return nil, fmt.Errorf("bt: threads %d < 1", threads)
 	}
 	b := &Benchmark{Class: class, n: spec.size, niter: spec.niter, threads: threads}
-	for _, o := range opts {
-		o(b)
-	}
 	b.c = nscore.SetConstants(spec.size, spec.dt)
 	b.f = nscore.NewField(spec.size, false)
 	b.scratch = make([]*lineScratch, threads)
@@ -118,69 +79,44 @@ func New(class byte, threads int, opts ...Option) (*Benchmark, error) {
 	return b, nil
 }
 
-// Result reports one BT run.
-type Result struct {
-	XCR     [5]float64 // rhs residual norms
-	XCE     [5]float64 // solution error norms
-	Elapsed time.Duration
-	Mops    float64
-	Verify  *verify.Report
-	Timers  *timer.Set // per-phase profile when WithTimers was given
-}
+// Threads returns the team size BT was built for.
+func (b *Benchmark) Threads() int { return b.threads }
 
-// Run executes the benchmark: initialization, one untimed warm-up step
-// with re-initialization (as bt.f), then niter timed ADI steps and
-// verification.
-func (b *Benchmark) Run() Result {
-	tm := team.New(b.threads, team.WithRecorder(b.rec), team.WithTracer(b.tr), team.WithCounters(b.pc), team.WithSchedule(b.sched))
-	defer tm.Close()
-
+// Setup initializes the field, runs one feed-through ADI step and
+// re-initializes, as the Fortran main does before its timer starts.
+func (b *Benchmark) Setup(tm *team.Team) {
 	b.f.Initialize(&b.c)
 	b.f.ExactRHS(&b.c)
-
-	// One feed-through step, then reset, as the Fortran main does.
-	b.adi(tm)
+	b.Step(tm, 0)
 	b.f.Initialize(&b.c)
+}
 
-	start := time.Now()
-	for step := 1; step <= b.niter; step++ {
-		b.Iter(tm)
-	}
-	elapsed := time.Since(start)
+// Steps returns the number of timed ADI steps.
+func (b *Benchmark) Steps() int { return b.niter }
 
-	// Verification values: xcr = ||rhs||/dt from a fresh rhs evaluation,
-	// xce = solution error (verify.f).
+// Verify evaluates xcr = ||rhs||/dt from a fresh rhs and the solution
+// error xce (verify.f) and checks them against the class references.
+func (b *Benchmark) Verify(tm *team.Team) (*verify.Report, float64) {
 	b.f.ComputeRHS(&b.c, tm)
-	xcr := b.f.RHSNorm()
+	b.XCR = b.f.RHSNorm()
 	for m := 0; m < 5; m++ {
-		xcr[m] /= b.c.Dt
+		b.XCR[m] /= b.c.Dt
 	}
-	xce := b.f.ErrorNorm(&b.c)
-
-	var res Result
-	res.XCR = xcr
-	res.XCE = xce
-	res.Elapsed = elapsed
-	res.Timers = b.timers
-	nf := float64(b.n)
-	flops := float64(b.niter) * (3478.8*nf*nf*nf - 17655.7*nf*nf + 28023.7*nf)
-	if s := elapsed.Seconds(); s > 0 {
-		res.Mops = flops * 1e-6 / s
-	}
+	b.XCE = b.f.ErrorNorm(&b.c)
 
 	rep := &verify.Report{Tier: verify.TierOfficial}
 	if ref, ok := reference[b.Class]; ok {
 		for m := 0; m < 5; m++ {
-			rep.Add(fmt.Sprintf("xcr(%d)", m+1), xcr[m], ref.xcr[m])
+			rep.Add(fmt.Sprintf("xcr(%d)", m+1), b.XCR[m], ref.xcr[m])
 		}
 		for m := 0; m < 5; m++ {
-			rep.Add(fmt.Sprintf("xce(%d)", m+1), xce[m], ref.xce[m])
+			rep.Add(fmt.Sprintf("xce(%d)", m+1), b.XCE[m], ref.xce[m])
 		}
 	} else {
 		rep.Tier = verify.TierNone
 	}
-	res.Verify = rep
-	return res
+	nf := float64(b.n)
+	return rep, float64(b.niter) * (3478.8*nf*nf*nf - 17655.7*nf*nf + 28023.7*nf)
 }
 
 // refVals holds the 5+5 verification norms of one class.

@@ -1,11 +1,13 @@
 package bt
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"npbgo/internal/kernel"
 	"npbgo/internal/nscore"
 	"npbgo/internal/team"
 )
@@ -282,7 +284,7 @@ func TestErrorDecreasesOverSteps(t *testing.T) {
 	b.f.ExactRHS(&b.c)
 	e0 := b.f.ErrorNorm(&b.c)
 	for s := 0; s < 20; s++ {
-		b.adi(tm)
+		b.Step(tm, 0)
 	}
 	e1 := b.f.ErrorNorm(&b.c)
 	for m := 0; m < 5; m++ {
@@ -310,8 +312,8 @@ func TestParallelMatchesSerialBitwise(t *testing.T) {
 	bp.f.Initialize(&bp.c)
 	bp.f.ExactRHS(&bp.c)
 	for s := 0; s < 5; s++ {
-		bs.adi(tms)
-		bp.adi(tmp)
+		bs.Step(tms, 0)
+		bp.Step(tmp, 0)
 	}
 	for i := range bs.f.U {
 		if bs.f.U[i] != bp.f.U[i] {
@@ -325,12 +327,15 @@ func TestClassSGolden(t *testing.T) {
 		t.Skip("full class S run in -short mode")
 	}
 	b, _ := New('S', 1)
-	res := b.Run()
+	res, err := kernel.Run(context.Background(), b, kernel.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Verify.Failed() {
 		t.Fatalf("class S failed verification:\n%s", res.Verify)
 	}
 	for m := 0; m < 5; m++ {
-		if math.IsNaN(res.XCR[m]) || math.IsNaN(res.XCE[m]) {
+		if math.IsNaN(b.XCR[m]) || math.IsNaN(b.XCE[m]) {
 			t.Fatal("NaN in verification norms")
 		}
 	}

@@ -88,7 +88,8 @@ func (b *Benchmark) solveLine(ls *lineScratch, isize int, rhs []float64, base, s
 // func(id int) handed straight to Team.Run; chunk bounds come from the
 // team's loop iterator (honoring the configured schedule), per-worker
 // scratch from the pools and the team from the tm staging field, so the
-// ADI loop creates no closures.
+// ADI loop creates no closures. Every loop writes disjoint planes, so
+// results are bit-identical under every schedule.
 func (b *Benchmark) buildBodies() {
 	n := b.n
 	b.dsX = dirSpec{cv: 1, tmp1: b.c.Dt * b.c.Tx1, tmp2: b.c.Dt * b.c.Tx2,
@@ -170,44 +171,24 @@ func (b *Benchmark) zSolve(tm *team.Team) {
 	tm.Run(b.zBody)
 }
 
-// adi advances one time step, charging each phase to the profile
-// timers when enabled.
-func (b *Benchmark) adi(tm *team.Team) {
-	b.phaseStart("rhs")
+// Step advances one time step on tm, whose Size must equal the thread
+// count the Benchmark was built with, bracketing each phase. Every
+// region body is prebuilt, so the step performs no heap allocation
+// (enforced at a zero budget by internal/allocgate).
+func (b *Benchmark) Step(tm *team.Team, _ int) {
+	b.Begin("rhs")
 	b.f.ComputeRHS(&b.c, tm)
-	b.phaseStop("rhs")
-	b.phaseStart("xsolve")
+	b.End("rhs")
+	b.Begin("xsolve")
 	b.xSolve(tm)
-	b.phaseStop("xsolve")
-	b.phaseStart("ysolve")
+	b.End("xsolve")
+	b.Begin("ysolve")
 	b.ySolve(tm)
-	b.phaseStop("ysolve")
-	b.phaseStart("zsolve")
+	b.End("ysolve")
+	b.Begin("zsolve")
 	b.zSolve(tm)
-	b.phaseStop("zsolve")
-	b.phaseStart("add")
+	b.End("zsolve")
+	b.Begin("add")
 	b.f.Add(tm)
-	b.phaseStop("add")
-}
-
-// phaseStart begins charging the named timer when profiling.
-func (b *Benchmark) phaseStart(name string) {
-	if b.timers != nil {
-		b.timers.Start(name)
-	}
-}
-
-// phaseStop stops charging the named timer when profiling.
-func (b *Benchmark) phaseStop(name string) {
-	if b.timers != nil {
-		b.timers.Stop(name)
-	}
-}
-
-// Iter advances one steady-state time step on tm, whose Size must equal
-// the thread count the Benchmark was built with. Every region body is
-// prebuilt, so the step performs no heap allocation (enforced at a zero
-// budget by internal/allocgate).
-func (b *Benchmark) Iter(tm *team.Team) {
-	b.adi(tm)
+	b.End("add")
 }

@@ -11,17 +11,12 @@
 package cg
 
 import (
-	"context"
 	"fmt"
 	"math"
-	"time"
 
 	"npbgo/internal/fault"
-	"npbgo/internal/obs"
-	"npbgo/internal/perfcount"
+	"npbgo/internal/kernel"
 	"npbgo/internal/team"
-	"npbgo/internal/timer"
-	"npbgo/internal/trace"
 	"npbgo/internal/verify"
 )
 
@@ -48,18 +43,18 @@ const (
 )
 
 // Benchmark is a configured CG instance. The sparse matrix is generated
-// by New so repeated Run calls time only the solver.
+// by New so repeated runs time only the solver.
 type Benchmark struct {
+	kernel.Phases // t_conj_grad, t_norm
+
 	Class   byte
 	p       params
 	threads int
 	warmup  bool
-	ctx     context.Context    // nil means not cancellable
-	rec     *obs.Recorder      // nil without WithObs
-	tr      *trace.Tracer      // nil without WithTrace
-	pc      *perfcount.Sampler // nil without WithCounters
-	timers  *timer.Set         // nil without WithTimers
-	sched   team.Schedule      // loop schedule, Static without WithSchedule
+
+	// Zeta and RNorm are the eigenvalue estimate and the residual norm
+	// ||x - A z|| of the last timed step.
+	Zeta, RNorm float64
 
 	ballastBytes int
 	ballast      [][]float64 // per-worker ballast, nil without WithBallast
@@ -77,7 +72,7 @@ type Benchmark struct {
 	// instead read the per-iteration scalars (alpha, beta, scaleInv) and
 	// the current team from the Benchmark, keeping the timed loop free of
 	// heap allocation (enforced by internal/allocgate).
-	tm       *team.Team // team of the current Run/Iter
+	tm       *team.Team // team of the current Setup/Step
 	alpha    float64    // CG step length, set each inner iteration
 	beta     float64    // CG direction update, set each inner iteration
 	scaleInv float64    // 1/||z|| for normalize
@@ -93,8 +88,6 @@ type Benchmark struct {
 	scaleBody   func(id int)
 	dotBody     func(id int)
 	ballastBody func(id int)
-	conjFn      func() float64
-	normFn      func() float64
 }
 
 // Option configures optional benchmark behaviour.
@@ -102,40 +95,6 @@ type Option func(*Benchmark)
 
 // WithWarmup enables the per-thread initialization load of §5.2.
 func WithWarmup() Option { return func(b *Benchmark) { b.warmup = true } }
-
-// WithObs attaches a runtime-metrics recorder to the run's team:
-// per-worker busy and barrier-wait times, region counts and the
-// imbalance ratio — the instrumentation the paper's §5.2 CG diagnosis
-// was made with.
-func WithObs(rec *obs.Recorder) Option { return func(b *Benchmark) { b.rec = rec } }
-
-// WithTrace attaches an execution tracer to the run's team: per-worker
-// event timelines (region blocks, barrier and pipeline waits),
-// exportable as Chrome/Perfetto JSON — the when-view that complements
-// the obs layer's how-much totals.
-func WithTrace(tr *trace.Tracer) Option { return func(b *Benchmark) { b.tr = tr } }
-
-// WithCounters attaches a hardware-counter sampler to the run's team:
-// per-worker cycles/instructions/cache-miss deltas are charged to pc at
-// every parallel region. pc should be sized perfcount.New(threads); nil
-// leaves counter sampling disabled.
-func WithCounters(pc *perfcount.Sampler) Option { return func(b *Benchmark) { b.pc = pc } }
-
-// WithSchedule selects the team's loop schedule — the knob §5.2's
-// load-imbalance diagnosis calls for. The default is team.Static, the
-// paper's block distribution.
-func WithSchedule(s team.Schedule) Option { return func(b *Benchmark) { b.sched = s } }
-
-// WithTimers enables the per-phase profile (t_conj_grad, t_norm), the
-// cg.f timer slots the paper's profiling discussion uses.
-func WithTimers() Option { return func(b *Benchmark) { b.timers = timer.NewSet() } }
-
-// WithContext makes Run cancellable: when ctx expires the team is
-// cancelled (unblocking any parked workers) and the timed outer loop
-// stops within about one iteration, returning a partial result.
-func WithContext(ctx context.Context) Option {
-	return func(b *Benchmark) { b.ctx = ctx }
-}
 
 // WithBallast reproduces the paper's other §5.2 experiment: "an
 // artificial increase in the memory use ... also resulted in a drop of
@@ -306,130 +265,61 @@ func (b *Benchmark) buildBodies() {
 		}
 		*b.tm.Partial(id) = s
 	}
-
-	b.conjFn = func() float64 { return b.conjGrad() }
-	b.normFn = func() float64 { b.normalize(); return 0 }
 }
 
 // NNZ returns the number of stored matrix nonzeros.
 func (b *Benchmark) NNZ() int { return b.rowstr[b.p.na] }
 
-// Result reports one CG run.
-type Result struct {
-	Zeta    float64
-	RNorm   float64 // final residual norm ||x - A z||
-	Elapsed time.Duration
-	Mops    float64
-	Verify  *verify.Report
-	Timers  *timer.Set // per-phase profile when WithTimers was given
-}
+// Threads returns the team size CG was built for.
+func (b *Benchmark) Threads() int { return b.threads }
 
-// Run executes the benchmark: one untimed feed-through iteration, then
-// niter timed outer iterations, then verification, following cg.f.
-func (b *Benchmark) Run() Result {
-	tm := team.New(b.threads, team.WithRecorder(b.rec), team.WithTracer(b.tr), team.WithCounters(b.pc), team.WithSchedule(b.sched))
-	defer tm.Close()
-	if b.ctx != nil {
-		stop := tm.WatchContext(b.ctx)
-		defer stop()
-	}
+// Setup gives the workers their §5.2 warm-up load when enabled, then
+// runs one untimed feed-through iteration to touch all data and resets
+// x, following cg.f.
+func (b *Benchmark) Setup(tm *team.Team) {
 	if b.warmup {
 		tm.Warmup(5_000_000)
 	}
 	b.tm = tm
-
-	n := b.p.na
-
-	// Untimed iteration to touch all data.
 	for i := range b.x {
 		b.x[i] = 1.0
 	}
 	b.conjGrad()
 	b.normalize()
-
-	// Reset and time.
 	for i := range b.x {
 		b.x[i] = 1.0
 	}
-	zeta := 0.0
-	var rnorm float64
-	start := time.Now()
-	for it := 1; it <= b.p.niter; it++ {
-		if tm.Cancelled() {
-			break
-		}
-		z, rn, ok := b.Iter(tm)
-		rnorm = rn
-		if !ok {
-			// The reductions of a cancelled team return 0, so zeta
-			// derived from them would be garbage; keep the last complete
-			// iteration's value instead.
-			break
-		}
-		zeta = z
-	}
-	elapsed := time.Since(start)
-
-	var res Result
-	res.Zeta = zeta
-	res.RNorm = rnorm
-	res.Timers = b.timers
-	res.Elapsed = elapsed
-	// Standard NPB CG flop estimate per outer iteration.
-	nzf := float64(b.NNZ())
-	naf := float64(n)
-	flops := float64(b.p.niter) * (2*float64(cgitmax)*(3+nzf+5*naf) + 3 + nzf + 8*naf + 5*naf)
-	if s := elapsed.Seconds(); s > 0 {
-		res.Mops = flops * 1e-6 / s
-	}
-
-	rep := &verify.Report{Tier: verify.TierOfficial}
-	rep.AddTol("zeta", fault.CorruptFloat("cg.verify", zeta), b.p.zeta, 1e-10)
-	res.Verify = rep
-	return res
 }
 
-// timed charges fn's wall time to the named master-side phase timer
-// and, when tracing, brackets it as a named phase span on the master
-// timeline (a direct call when both are off). The name reaches the
-// tracer as a parameter, so the Begin/End pairing is owned here —
-// call sites cannot leak a phase.
-func (b *Benchmark) timed(name string, fn func() float64) float64 {
-	if b.timers == nil && b.tr == nil {
-		return fn()
-	}
-	if b.tr != nil {
-		b.tr.BeginPhase(name)
-		defer b.tr.EndPhase(name)
-	}
-	if b.timers == nil {
-		return fn()
-	}
-	b.timers.Start(name)
-	v := fn()
-	b.timers.Stop(name)
-	return v
-}
+// Steps returns the number of timed outer iterations.
+func (b *Benchmark) Steps() int { return b.p.niter }
 
-// Iter runs one timed outer iteration (conjGrad, the zeta update, and
+// Step runs one timed outer iteration (conjGrad, the zeta update, and
 // the normalization) on tm, whose Size must equal the thread count the
-// Benchmark was built with. It returns the iteration's zeta and
-// residual norm; ok is false when the team was cancelled mid-iteration,
-// in which case zeta is meaningless. Iter is the steady-state hook the
-// allocation gate measures: after the first call it performs no heap
-// allocation.
-func (b *Benchmark) Iter(tm *team.Team) (zeta, rnorm float64, ok bool) {
+// Benchmark was built with, updating Zeta and RNorm. After the first
+// call it performs no heap allocation (enforced by internal/allocgate).
+func (b *Benchmark) Step(tm *team.Team, _ int) {
 	b.tm = tm
 	fault.Maybe("cg.iter")
 	b.touchBallast()
-	rnorm = b.timed("t_conj_grad", b.conjFn)
-	if tm.Cancelled() {
-		return 0, rnorm, false
-	}
+	b.Begin("t_conj_grad")
+	b.RNorm = b.conjGrad()
+	b.End("t_conj_grad")
 	norm1 := b.dot(b.x, b.z)
-	zeta = b.p.shift + 1.0/norm1
-	b.timed("t_norm", b.normFn)
-	return zeta, rnorm, true
+	b.Zeta = b.p.shift + 1.0/norm1
+	b.Begin("t_norm")
+	b.normalize()
+	b.End("t_norm")
+}
+
+// Verify checks the final zeta against the class reference.
+func (b *Benchmark) Verify(*team.Team) (*verify.Report, float64) {
+	rep := &verify.Report{Tier: verify.TierOfficial}
+	rep.AddTol("zeta", fault.CorruptFloat("cg.verify", b.Zeta), b.p.zeta, 1e-10)
+	// Standard NPB CG flop estimate per outer iteration.
+	nzf := float64(b.NNZ())
+	naf := float64(b.p.na)
+	return rep, float64(b.p.niter) * (2*float64(cgitmax)*(3+nzf+5*naf) + 3 + nzf + 8*naf + 5*naf)
 }
 
 // touchBallast streams every worker through its ballast once, evicting

@@ -1,9 +1,11 @@
 package cg
 
 import (
+	"context"
 	"math"
 	"testing"
 
+	"npbgo/internal/kernel"
 	"npbgo/internal/randdp"
 )
 
@@ -139,13 +141,23 @@ func TestClassSVerifies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := b.Run()
+	res := run(t, b)
 	if !res.Verify.Passed() {
 		t.Fatalf("class S failed verification:\n%s", res.Verify)
 	}
-	if res.RNorm > 1e-8 {
-		t.Fatalf("final residual %v too large", res.RNorm)
+	if b.RNorm > 1e-8 {
+		t.Fatalf("final residual %v too large", b.RNorm)
 	}
+}
+
+// run drives b through the kernel driver and fails t on cancellation.
+func run(t *testing.T, b *Benchmark) kernel.Result {
+	t.Helper()
+	res, err := kernel.Run(context.Background(), b, kernel.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 func TestParallelMatchesOfficialZeta(t *testing.T) {
@@ -154,7 +166,7 @@ func TestParallelMatchesOfficialZeta(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := b.Run()
+		res := run(t, b)
 		if !res.Verify.Passed() {
 			t.Fatalf("threads=%d failed verification:\n%s", n, res.Verify)
 		}
@@ -166,17 +178,18 @@ func TestWarmupOptionStillVerifies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res := b.Run(); !res.Verify.Passed() {
+	if res := run(t, b); !res.Verify.Passed() {
 		t.Fatalf("warmup run failed verification:\n%s", res.Verify)
 	}
 }
 
 func TestRepeatedRunsDeterministic(t *testing.T) {
 	b, _ := New('S', 2)
-	r1 := b.Run()
-	r2 := b.Run()
-	if r1.Zeta != r2.Zeta {
-		t.Fatalf("zeta not reproducible: %v vs %v", r1.Zeta, r2.Zeta)
+	run(t, b)
+	z1 := b.Zeta
+	run(t, b)
+	if z1 != b.Zeta {
+		t.Fatalf("zeta not reproducible: %v vs %v", z1, b.Zeta)
 	}
 }
 
@@ -205,9 +218,9 @@ func TestCorruptedMatrixFailsVerification(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.a[len(b.a)/3] += 0.5
-	res := b.Run()
+	res := run(t, b)
 	if res.Verify.Passed() {
-		t.Fatalf("corrupted matrix still verified: zeta=%v", res.Zeta)
+		t.Fatalf("corrupted matrix still verified: zeta=%v", b.Zeta)
 	}
 	if !res.Verify.Failed() {
 		t.Fatal("corruption not reported as failure")
@@ -219,7 +232,7 @@ func TestBallastOptionStillVerifies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res := b.Run(); !res.Verify.Passed() {
+	if res := run(t, b); !res.Verify.Passed() {
 		t.Fatalf("ballast run failed verification:\n%s", res.Verify)
 	}
 }

@@ -12,18 +12,14 @@
 package ep
 
 import (
-	"context"
 	"fmt"
 	"math"
-	"time"
 
 	"npbgo/internal/fault"
-	"npbgo/internal/obs"
-	"npbgo/internal/perfcount"
+	"npbgo/internal/kernel"
 	"npbgo/internal/randdp"
 	"npbgo/internal/team"
 	"npbgo/internal/timer"
-	"npbgo/internal/trace"
 	"npbgo/internal/verify"
 )
 
@@ -52,77 +48,35 @@ var reference = map[byte][2]float64{
 // body — are allocated once here, so the batch sweep itself runs
 // allocation-free (gated at zero by internal/allocgate).
 type Benchmark struct {
+	// Phases supplies the timer set each worker charges its batch loop
+	// to (t_batch/w<id>), so the profile shows both the per-thread time
+	// split and, via lap counts, how many batches each worker processed
+	// — the per-thread view the paper's load-balance analysis is built
+	// on.
+	kernel.Phases
+
 	Class   byte
 	m       int
 	nn      int // number of 2^mk batches
 	an      float64
 	threads int
-	ctx     context.Context    // nil means not cancellable
-	rec     *obs.Recorder      // nil without WithObs
-	tr      *trace.Tracer      // nil without WithTrace
-	pc      *perfcount.Sampler // nil without WithCounters
-	timers  *timer.Set         // nil without WithTimers
-	sched   team.Schedule      // loop schedule, Static without WithSchedule
 
-	states []batchState // per-block tallies, reset each Iter
+	// Sx, Sy, Q and Gc are the Gaussian deviate sums, the annulus
+	// counts and the accepted pair count of the last Verify.
+	Sx, Sy float64
+	Q      [nq]float64
+	Gc     float64
+
+	states []batchState // per-block tallies, reset each Step
 	x      [][]float64  // per-worker vranlc scratch, 2*nk doubles each
-	phases []string     // per-worker timer names when profiling
-	tm     *team.Team   // team of the current Iter, read by body
+	batch  []string     // per-worker batch-loop timer names
+	tm     *team.Team   // team of the current Step, read by body
 	body   func(id int) // hoisted batch-sweep region body
-}
-
-// Option configures optional benchmark behaviour.
-type Option func(*Benchmark)
-
-// WithContext makes Run cancellable: when ctx expires the team is
-// cancelled and every worker stops at its next batch boundary,
-// returning a partial (unverifiable) result.
-func WithContext(ctx context.Context) Option {
-	return func(b *Benchmark) { b.ctx = ctx }
-}
-
-// WithObs attaches a runtime-metrics recorder to the run's team.
-func WithObs(rec *obs.Recorder) Option { return func(b *Benchmark) { b.rec = rec } }
-
-// WithTrace attaches an execution tracer to the run's team: per-worker
-// event timelines (region blocks, barrier and pipeline waits),
-// exportable as Chrome/Perfetto JSON — the when-view that complements
-// the obs layer's how-much totals.
-func WithTrace(tr *trace.Tracer) Option { return func(b *Benchmark) { b.tr = tr } }
-
-// WithCounters attaches a hardware-counter sampler to the run's team:
-// per-worker cycles/instructions/cache-miss deltas are charged to pc at
-// every parallel region. pc should be sized perfcount.New(threads); nil
-// leaves counter sampling disabled.
-func WithCounters(pc *perfcount.Sampler) Option { return func(b *Benchmark) { b.pc = pc } }
-
-// WithSchedule selects the team's loop schedule for the batch sweep;
-// team.Static (the default) is the paper's block distribution. Batch
-// tallies are indexed by static block, not by worker, so the summed
-// result is bit-identical under every schedule.
-func WithSchedule(s team.Schedule) Option { return func(b *Benchmark) { b.sched = s } }
-
-// WithTimers enables the per-worker phase profile: each worker charges
-// its batch loop to its own timer (t_batch/w<id>) on a concurrent set,
-// so the profile shows both the per-thread time split and, via lap
-// counts, how many batches each worker processed — the per-thread view
-// the paper's load-balance analysis is built on.
-func WithTimers() Option { return func(b *Benchmark) { b.timers = timer.NewConcurrentSet() } }
-
-// Result reports one EP run.
-type Result struct {
-	Sx, Sy  float64        // Gaussian deviate sums
-	Q       [nq]float64    // annulus counts
-	Gc      float64        // total accepted pairs
-	Elapsed time.Duration  // wall time of the timed section
-	Mops    float64        // millions of Gaussian pairs per second scale
-	Verify  *verify.Report // verification outcome
-	Timers  *timer.Set     // per-worker batch profile when WithTimers was given
 }
 
 // New configures EP for the given class ('S','W','A','B','C') and thread
 // count.
-func New(class byte, threads int, opts ...Option) (*Benchmark, error) {
+func New(class byte, threads int) (*Benchmark, error) {
 	m, ok := classM[class]
 	if !ok {
 		return nil, fmt.Errorf("ep: unknown class %q", string(class))
@@ -131,9 +85,6 @@ func New(class byte, threads int, opts ...Option) (*Benchmark, error) {
 		return nil, fmt.Errorf("ep: threads %d < 1", threads)
 	}
 	b := &Benchmark{Class: class, m: m, threads: threads}
-	for _, o := range opts {
-		o(b)
-	}
 	b.nn = 1 << (b.m - mk)
 	// an = a^(2*nk) mod 2^46: mk+1 squarings of a.
 	an := amult
@@ -146,11 +97,9 @@ func New(class byte, threads int, opts ...Option) (*Benchmark, error) {
 	for id := range b.x {
 		b.x[id] = make([]float64, 2*nk)
 	}
-	if b.timers != nil {
-		b.phases = make([]string, threads)
-		for id := range b.phases {
-			b.phases[id] = timer.Worker("t_batch", id)
-		}
+	b.batch = make([]string, threads)
+	for id := range b.batch {
+		b.batch[id] = timer.Worker("t_batch", id)
 	}
 	//npblint:hot per-worker batch sweep, constructed once and reused every run.
 	// Tallies accumulate per static block (it.Chunk()), not per worker, so
@@ -158,10 +107,7 @@ func New(class byte, threads int, opts ...Option) (*Benchmark, error) {
 	b.body = func(id int) {
 		tm := b.tm
 		x := b.x[id]
-		phase := ""
-		if b.timers != nil {
-			phase = b.phases[id]
-		}
+		ts, phase := b.Timers(), b.batch[id]
 		for it := tm.ReduceBlocks(id, 0, b.nn); it.Next(); {
 			st := &b.states[it.Chunk()]
 			for kk := it.Lo; kk < it.Hi; kk++ {
@@ -169,12 +115,12 @@ func New(class byte, threads int, opts ...Option) (*Benchmark, error) {
 					return
 				}
 				fault.Maybe("ep.batch")
-				if phase != "" {
-					b.timers.Start(phase)
+				if ts != nil {
+					ts.Start(phase)
 				}
 				runBatch(kk, b.an, st, x)
-				if phase != "" {
-					b.timers.Stop(phase)
+				if ts != nil {
+					ts.Stop(phase)
 				}
 			}
 		}
@@ -182,10 +128,19 @@ func New(class byte, threads int, opts ...Option) (*Benchmark, error) {
 	return b, nil
 }
 
-// Iter runs one steady-state pass over every batch on tm: the whole
-// timed section of EP, with no per-pass allocation. Run wraps it;
-// internal/allocgate measures it.
-func (b *Benchmark) Iter(tm *team.Team) {
+// Threads returns the team size EP was built for.
+func (b *Benchmark) Threads() int { return b.threads }
+
+// Setup does nothing: EP has no untimed prologue.
+func (b *Benchmark) Setup(*team.Team) {}
+
+// Steps returns 1: the whole batch sweep is one timed step.
+func (b *Benchmark) Steps() int { return 1 }
+
+// Step runs one pass over every batch on tm — the whole timed section
+// of EP, with no per-pass allocation (enforced by internal/allocgate).
+// Workers poll for cancellation at every batch boundary.
+func (b *Benchmark) Step(tm *team.Team, _ int) {
 	b.tm = tm
 	for i := range b.states {
 		b.states[i] = batchState{}
@@ -242,43 +197,27 @@ func runBatch(kk int, an float64, st *batchState, x []float64) {
 	}
 }
 
-// Run executes the kernel and returns its result.
-func (b *Benchmark) Run() Result {
-	tm := team.New(b.threads, team.WithRecorder(b.rec), team.WithTracer(b.tr), team.WithCounters(b.pc), team.WithSchedule(b.sched))
-	defer tm.Close()
-	if b.ctx != nil {
-		stop := tm.WatchContext(b.ctx)
-		defer stop()
-	}
-
-	start := time.Now()
-	b.Iter(tm)
-	elapsed := time.Since(start)
-
-	var res Result
-	res.Elapsed = elapsed
-	res.Timers = b.timers
+// Verify combines the per-block tallies in block order and checks the
+// deviate sums against the class references.
+func (b *Benchmark) Verify(*team.Team) (*verify.Report, float64) {
+	b.Sx, b.Sy, b.Q, b.Gc = 0, 0, [nq]float64{}, 0
 	for id := 0; id < b.threads; id++ {
-		res.Sx += b.states[id].sx
-		res.Sy += b.states[id].sy
+		b.Sx += b.states[id].sx
+		b.Sy += b.states[id].sy
 		for l := 0; l < nq; l++ {
-			res.Q[l] += b.states[id].q[l]
+			b.Q[l] += b.states[id].q[l]
 		}
 	}
 	for l := 0; l < nq; l++ {
-		res.Gc += res.Q[l]
-	}
-	if s := elapsed.Seconds(); s > 0 {
-		res.Mops = b.Pairs() * 1e-6 / s
+		b.Gc += b.Q[l]
 	}
 
 	rep := &verify.Report{Tier: verify.TierOfficial}
 	if ref, ok := reference[b.Class]; ok {
-		rep.Add("sx", fault.CorruptFloat("ep.verify", res.Sx), ref[0])
-		rep.Add("sy", res.Sy, ref[1])
+		rep.Add("sx", fault.CorruptFloat("ep.verify", b.Sx), ref[0])
+		rep.Add("sy", b.Sy, ref[1])
 	} else {
 		rep.Tier = verify.TierNone
 	}
-	res.Verify = rep
-	return res
+	return rep, b.Pairs()
 }

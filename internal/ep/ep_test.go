@@ -1,9 +1,11 @@
 package ep
 
 import (
+	"context"
 	"math"
 	"testing"
 
+	"npbgo/internal/kernel"
 	"npbgo/internal/randdp"
 )
 
@@ -12,21 +14,31 @@ func TestClassSVerifies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := b.Run()
+	res := run(t, b)
 	if !res.Verify.Passed() {
 		t.Fatalf("class S failed verification:\n%s", res.Verify)
 	}
-	if res.Gc <= 0 || res.Gc > b.Pairs() {
-		t.Fatalf("accepted pair count %v outside (0, %v]", res.Gc, b.Pairs())
+	if b.Gc <= 0 || b.Gc > b.Pairs() {
+		t.Fatalf("accepted pair count %v outside (0, %v]", b.Gc, b.Pairs())
 	}
+}
+
+// run drives b through the kernel driver and fails t on cancellation.
+func run(t *testing.T, b *Benchmark) kernel.Result {
+	t.Helper()
+	res, err := kernel.Run(context.Background(), b, kernel.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 func TestAcceptanceRateNearPiOver4(t *testing.T) {
 	// The polar method accepts points inside the unit disc; the
 	// acceptance rate must be close to pi/4.
 	b, _ := New('S', 1)
-	res := b.Run()
-	rate := res.Gc / b.Pairs()
+	run(t, b)
+	rate := b.Gc / b.Pairs()
 	if math.Abs(rate-math.Pi/4) > 0.001 {
 		t.Fatalf("acceptance rate %v far from pi/4", rate)
 	}
@@ -36,25 +48,25 @@ func TestAnnulusCountsDecrease(t *testing.T) {
 	// Gaussian mass decays with radius: the first annulus must dominate
 	// and counts must be (weakly) decreasing.
 	b, _ := New('S', 1)
-	res := b.Run()
+	run(t, b)
 	for l := 1; l < nq; l++ {
-		if res.Q[l] > res.Q[l-1] {
-			t.Fatalf("annulus counts not decreasing: q[%d]=%v > q[%d]=%v", l, res.Q[l], l-1, res.Q[l-1])
+		if b.Q[l] > b.Q[l-1] {
+			t.Fatalf("annulus counts not decreasing: q[%d]=%v > q[%d]=%v", l, b.Q[l], l-1, b.Q[l-1])
 		}
 	}
 	// For max(|X|,|Y|) of two standard normals, P(max < 1) = 0.683^2,
 	// about 47% of accepted pairs.
-	if res.Q[0] < 0.4*res.Gc {
-		t.Fatalf("first annulus holds only %v of %v", res.Q[0], res.Gc)
+	if b.Q[0] < 0.4*b.Gc {
+		t.Fatalf("first annulus holds only %v of %v", b.Q[0], b.Gc)
 	}
 }
 
 func TestParallelMatchesSerialExactly(t *testing.T) {
-	serial, _ := New('S', 1)
-	sres := serial.Run()
+	sres, _ := New('S', 1)
+	run(t, sres)
 	for _, n := range []int{2, 4} {
-		par, _ := New('S', n)
-		pres := par.Run()
+		pres, _ := New('S', n)
+		res := run(t, pres)
 		// Worker partials are combined in deterministic order, so a
 		// parallel run is reproducible, but the association differs
 		// from serial; allow last-bit drift only.
@@ -70,8 +82,8 @@ func TestParallelMatchesSerialExactly(t *testing.T) {
 				t.Fatalf("threads=%d annulus %d differs: %v vs %v", n, l, sres.Q[l], pres.Q[l])
 			}
 		}
-		if !pres.Verify.Passed() {
-			t.Fatalf("threads=%d failed verification:\n%s", n, pres.Verify)
+		if !res.Verify.Passed() {
+			t.Fatalf("threads=%d failed verification:\n%s", n, res.Verify)
 		}
 	}
 }

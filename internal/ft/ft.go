@@ -7,16 +7,12 @@
 package ft
 
 import (
-	"context"
 	"fmt"
 	"math"
-	"time"
 
-	"npbgo/internal/obs"
-	"npbgo/internal/perfcount"
+	"npbgo/internal/kernel"
 	"npbgo/internal/randdp"
 	"npbgo/internal/team"
-	"npbgo/internal/trace"
 	"npbgo/internal/verify"
 )
 
@@ -66,14 +62,14 @@ var classes = map[byte]params{
 // Benchmark is a configured FT instance; New allocates the three complex
 // fields and the twiddle array.
 type Benchmark struct {
+	kernel.Phases // fft, evolve, checksum
+
 	Class   byte
 	p       params
 	threads int
-	ctx     context.Context    // nil means not cancellable
-	rec     *obs.Recorder      // nil without WithObs
-	tr      *trace.Tracer      // nil without WithTrace
-	pc      *perfcount.Sampler // nil without WithCounters
-	sched   team.Schedule      // loop schedule, Static without WithSchedule
+
+	// Sums holds the checksum of every timed step, as ft.f's sums.
+	Sums []complex128
 
 	c          cube
 	u0, u1, u2 []complex128
@@ -100,39 +96,8 @@ type Benchmark struct {
 	c3Body       func(id int)
 }
 
-// Option configures optional benchmark behaviour.
-type Option func(*Benchmark)
-
-// WithObs attaches a runtime-metrics recorder to the run's team:
-// per-worker busy and barrier-wait times, region counts and the
-// worker-imbalance ratio of the obs layer.
-func WithObs(rec *obs.Recorder) Option { return func(b *Benchmark) { b.rec = rec } }
-
-// WithTrace attaches an execution tracer to the run's team: per-worker
-// event timelines (region blocks, barrier and pipeline waits),
-// exportable as Chrome/Perfetto JSON — the when-view that complements
-// the obs layer's how-much totals.
-func WithTrace(tr *trace.Tracer) Option { return func(b *Benchmark) { b.tr = tr } }
-
-// WithCounters attaches a hardware-counter sampler to the run's team:
-// per-worker cycles/instructions/cache-miss deltas are charged to pc at
-// every parallel region. pc should be sized perfcount.New(threads); nil
-// leaves counter sampling disabled.
-func WithCounters(pc *perfcount.Sampler) Option { return func(b *Benchmark) { b.pc = pc } }
-
-// WithSchedule selects the team's loop schedule for the FFT plane
-// sweeps; team.Static (the default) is the paper's block distribution.
-func WithSchedule(s team.Schedule) Option { return func(b *Benchmark) { b.sched = s } }
-
-// WithContext makes Run cancellable: when ctx expires the team is
-// cancelled and the timed iteration loop stops within about one
-// iteration, returning a partial (unverifiable) result.
-func WithContext(ctx context.Context) Option {
-	return func(b *Benchmark) { b.ctx = ctx }
-}
-
 // New configures FT for the given class and thread count.
-func New(class byte, threads int, opts ...Option) (*Benchmark, error) {
+func New(class byte, threads int) (*Benchmark, error) {
 	p, ok := classes[class]
 	if !ok {
 		return nil, fmt.Errorf("ft: unknown class %q", string(class))
@@ -140,10 +105,7 @@ func New(class byte, threads int, opts ...Option) (*Benchmark, error) {
 	if threads < 1 {
 		return nil, fmt.Errorf("ft: threads %d < 1", threads)
 	}
-	b := &Benchmark{Class: class, p: p, threads: threads}
-	for _, o := range opts {
-		o(b)
-	}
+	b := &Benchmark{Class: class, p: p, threads: threads, Sums: make([]complex128, p.niter)}
 	b.c = cube{p.nx, p.ny, p.nz}
 	n := b.c.len()
 	b.u0 = make([]complex128, n)
@@ -293,15 +255,44 @@ func (b *Benchmark) fft3d(dir int, in, out []complex128, tm *team.Team) {
 	}
 }
 
-// Iter runs one timed evolution step — spectral evolve, inverse 3-D
-// FFT, checksum — on tm, whose Size must equal the thread count the
-// Benchmark was built with, and returns the step's checksum. Iter is
-// the steady-state hook the allocation gate measures: after the first
-// call it performs no heap allocation.
-func (b *Benchmark) Iter(tm *team.Team) complex128 {
+// Threads returns the team size FT was built for.
+func (b *Benchmark) Threads() int { return b.threads }
+
+// Setup is the untimed feed-through of ft.f: it runs the index map,
+// the initial conditions and the forward transform once, touching every
+// code path and page before the timer starts.
+func (b *Benchmark) Setup(tm *team.Team) {
+	b.computeIndexMap(tm)
+	b.computeInitialConditions(tm)
+	b.fft3d(1, b.u1, b.u0, tm)
+}
+
+// Steps returns the number of timed evolution steps.
+func (b *Benchmark) Steps() int { return b.p.niter }
+
+// Step runs timed evolution step i — spectral evolve, inverse 3-D FFT,
+// checksum into Sums[i] — on tm, whose Size must equal the thread count
+// the Benchmark was built with. Step 0 first recomputes the index map,
+// the initial conditions and the forward transform, which ft.f times
+// too. Every later step performs no heap allocation (enforced by
+// internal/allocgate).
+func (b *Benchmark) Step(tm *team.Team, i int) {
+	if i == 0 {
+		b.computeIndexMap(tm)
+		b.computeInitialConditions(tm)
+		b.Begin("fft")
+		b.fft3d(1, b.u1, b.u0, tm)
+		b.End("fft")
+	}
+	b.Begin("evolve")
 	b.evolve(tm)
+	b.End("evolve")
+	b.Begin("fft")
 	b.fft3d(-1, b.u1, b.u2, tm)
-	return b.checksum(b.u2)
+	b.End("fft")
+	b.Begin("checksum")
+	b.Sums[i] = b.checksum(b.u2)
+	b.End("checksum")
 }
 
 // checksum accumulates the standard 1024-point checksum of u, scaled by
@@ -319,64 +310,15 @@ func (b *Benchmark) checksum(u []complex128) complex128 {
 	return chk / complex(ntotal, 0)
 }
 
-// Result reports one FT run.
-type Result struct {
-	Sums    []complex128 // per-iteration checksums
-	Elapsed time.Duration
-	Mops    float64
-	Verify  *verify.Report
-}
-
-// Run executes the benchmark: untimed setup feed-through, then the timed
-// section (initialization, forward FFT, niter evolve/inverse-FFT/
-// checksum steps), then verification, following ft.f.
-func (b *Benchmark) Run() Result {
-	tm := team.New(b.threads, team.WithRecorder(b.rec), team.WithTracer(b.tr), team.WithCounters(b.pc), team.WithSchedule(b.sched))
-	defer tm.Close()
-	if b.ctx != nil {
-		stop := tm.WatchContext(b.ctx)
-		defer stop()
+// Verify checks every step's checksum against the class references.
+func (b *Benchmark) Verify(*team.Team) (*verify.Report, float64) {
+	rep := &verify.Report{Tier: b.p.tier}
+	for i, ref := range b.p.sums {
+		rep.AddTol(fmt.Sprintf("checksum[%d].re", i+1), real(b.Sums[i]), real(ref), 1e-12)
+		rep.AddTol(fmt.Sprintf("checksum[%d].im", i+1), imag(b.Sums[i]), imag(ref), 1e-12)
 	}
-
-	// Untimed warm-up touching all code paths and pages.
-	b.computeIndexMap(tm)
-	b.computeInitialConditions(tm)
-	b.fft3d(1, b.u1, b.u0, tm)
-
-	start := time.Now()
-	b.computeIndexMap(tm)
-	b.computeInitialConditions(tm)
-	b.fft3d(1, b.u1, b.u0, tm)
-	sums := make([]complex128, 0, b.p.niter)
-	for iter := 1; iter <= b.p.niter; iter++ {
-		if tm.Cancelled() {
-			break
-		}
-		sums = append(sums, b.Iter(tm))
-	}
-	elapsed := time.Since(start)
-
-	var res Result
-	res.Sums = sums
-	res.Elapsed = elapsed
 	ntotal := float64(b.p.nx) * float64(b.p.ny) * float64(b.p.nz)
 	ntLog := math.Log2(ntotal)
 	// Standard NPB FT flop estimate.
-	flops := ntotal * (14.8157 + 7.19641*ntLog + (5.23518+7.21113*ntLog)*float64(b.p.niter))
-	if s := elapsed.Seconds(); s > 0 {
-		res.Mops = flops * 1e-6 / s
-	}
-
-	rep := &verify.Report{Tier: b.p.tier}
-	if b.p.sums != nil {
-		for i, ref := range b.p.sums {
-			if i >= len(sums) {
-				break // cancelled run: only the completed iterations exist
-			}
-			rep.AddTol(fmt.Sprintf("checksum[%d].re", i+1), real(sums[i]), real(ref), 1e-12)
-			rep.AddTol(fmt.Sprintf("checksum[%d].im", i+1), imag(sums[i]), imag(ref), 1e-12)
-		}
-	}
-	res.Verify = rep
-	return res
+	return rep, ntotal * (14.8157 + 7.19641*ntLog + (5.23518+7.21113*ntLog)*float64(b.p.niter))
 }

@@ -1,10 +1,12 @@
 package ft
 
 import (
+	"context"
 	"math"
 	"math/cmplx"
 	"testing"
 
+	"npbgo/internal/kernel"
 	"npbgo/internal/team"
 )
 
@@ -92,21 +94,30 @@ func TestClassSVerifies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := b.Run()
-	if !res.Verify.Passed() {
-		t.Fatalf("class S failed verification:\n%s", res.Verify)
+	if rep := run(t, b).Verify; !rep.Passed() {
+		t.Fatalf("class S failed verification:\n%s", rep)
 	}
+}
+
+// run drives b through the kernel driver and fails t on cancellation.
+func run(t *testing.T, b *Benchmark) kernel.Result {
+	t.Helper()
+	res, err := kernel.Run(context.Background(), b, kernel.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 func TestParallelBitwiseMatchesSerial(t *testing.T) {
 	s, _ := New('S', 1)
-	sres := s.Run()
+	run(t, s)
 	for _, n := range []int{2, 4} {
 		p, _ := New('S', n)
-		pres := p.Run()
-		for i := range sres.Sums {
-			if sres.Sums[i] != pres.Sums[i] {
-				t.Fatalf("threads=%d checksum %d differs: %v vs %v", n, i, sres.Sums[i], pres.Sums[i])
+		run(t, p)
+		for i := range s.Sums {
+			if s.Sums[i] != p.Sums[i] {
+				t.Fatalf("threads=%d checksum %d differs: %v vs %v", n, i, s.Sums[i], p.Sums[i])
 			}
 		}
 	}

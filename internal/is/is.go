@@ -15,13 +15,10 @@ package is
 
 import (
 	"fmt"
-	"time"
 
-	"npbgo/internal/obs"
-	"npbgo/internal/perfcount"
+	"npbgo/internal/kernel"
 	"npbgo/internal/randdp"
 	"npbgo/internal/team"
-	"npbgo/internal/trace"
 	"npbgo/internal/verify"
 )
 
@@ -44,17 +41,18 @@ var classes = map[byte]params{
 
 // Benchmark is a configured IS instance.
 type Benchmark struct {
+	kernel.Phases // rank
+
 	Class   byte
 	numKeys int
 	maxKey  int
 	threads int
-	buckets bool               // bucketed ranking (the C original's USE_BUCKETS path)
-	rec     *obs.Recorder      // nil without WithObs
-	tr      *trace.Tracer      // nil without WithTrace
-	pc      *perfcount.Sampler // nil without WithCounters
-	sched   team.Schedule      // loop schedule, Static without WithSchedule
+	buckets bool // bucketed ranking (the C original's USE_BUCKETS path)
 
-	keys  []int32 // the key array (regenerated at the start of Run)
+	// OutOfSeq is the out-of-order pair count of the last Verify.
+	OutOfSeq int
+
+	keys  []int32 // the key array (regenerated by Setup)
 	buff2 []int32 // key copy used during ranking
 	dens  []int32 // global key density / cumulative ranks
 	local [][]int32
@@ -65,12 +63,11 @@ type Benchmark struct {
 	bucketStart []int32
 
 	// Steady-state machinery: the ranking-region bodies are built once
-	// by New and reused every pass (a closure literal at the Run call
-	// site would allocate per pass), keeping the timed loop free of heap
+	// by New and reused every pass (a closure literal at the call site
+	// would allocate per pass), keeping the timed loop free of heap
 	// allocation (enforced by internal/allocgate).
 	tm           *team.Team
 	shift        uint // log2(maxKey) - 10, the bucket selector
-	iter         int  // cycling iteration counter for Iter
 	straightBody func(id int)
 	bucketBody   func(id int)
 }
@@ -80,31 +77,6 @@ const nbuckets = 1 << 10
 
 // Option configures optional benchmark behaviour.
 type Option func(*Benchmark)
-
-// WithObs attaches a runtime-metrics recorder to the run's team:
-// per-worker busy and barrier-wait times, region counts and the
-// worker-imbalance ratio of the obs layer.
-func WithObs(rec *obs.Recorder) Option { return func(b *Benchmark) { b.rec = rec } }
-
-// WithTrace attaches an execution tracer to the run's team: per-worker
-// event timelines (region blocks, barrier and pipeline waits),
-// exportable as Chrome/Perfetto JSON — the when-view that complements
-// the obs layer's how-much totals.
-func WithTrace(tr *trace.Tracer) Option { return func(b *Benchmark) { b.tr = tr } }
-
-// WithCounters attaches a hardware-counter sampler to the run's team:
-// per-worker cycles/instructions/cache-miss deltas are charged to pc at
-// every parallel region. pc should be sized perfcount.New(threads); nil
-// leaves counter sampling disabled.
-func WithCounters(pc *perfcount.Sampler) Option { return func(b *Benchmark) { b.pc = pc } }
-
-// WithSchedule selects the team's loop schedule for the histogram
-// phases; team.Static (the default) keeps the paper's block
-// distribution. The bucketed variant's count/scatter phases always stay
-// static (their write cursors are worker-identity-coupled), but the
-// skewed bucket-density loop — the load-imbalance hot spot — follows
-// the schedule.
-func WithSchedule(s team.Schedule) Option { return func(b *Benchmark) { b.sched = s } }
 
 // WithBuckets selects the bucketed ranking algorithm: keys are first
 // scattered into 2^10 coarse buckets, then counted bucket-by-bucket,
@@ -313,17 +285,35 @@ func (b *Benchmark) rankStraight(tm *team.Team, iteration int) {
 	}
 }
 
-// Iter runs one timed ranking pass on tm, whose Size must equal the
-// thread count the Benchmark was built with, cycling the perturbation
-// index 1..maxIterations as Run's timed loop does. Iter is the
-// steady-state hook the allocation gate measures: after the first call
-// it performs no heap allocation.
-func (b *Benchmark) Iter(tm *team.Team) {
-	b.iter++
-	if b.iter > maxIterations {
-		b.iter = 1
-	}
-	b.rank(tm, b.iter)
+// Threads returns the team size IS was built for.
+func (b *Benchmark) Threads() int { return b.threads }
+
+// Setup generates the keys and runs one untimed ranking pass, as in the
+// C original.
+func (b *Benchmark) Setup(tm *team.Team) {
+	b.createSeq()
+	b.rank(tm, 1)
+}
+
+// Steps returns the number of timed ranking passes.
+func (b *Benchmark) Steps() int { return maxIterations }
+
+// Step runs timed ranking pass i+1 on tm, whose Size must equal the
+// thread count the Benchmark was built with. After the first call it
+// performs no heap allocation (enforced by internal/allocgate).
+func (b *Benchmark) Step(tm *team.Team, i int) {
+	b.Begin("rank")
+	b.rank(tm, i+1)
+	b.End("rank")
+}
+
+// Verify permutes the keys into sorted order and counts out-of-order
+// pairs, the official full_verify criterion.
+func (b *Benchmark) Verify(*team.Team) (*verify.Report, float64) {
+	b.OutOfSeq = b.fullVerify()
+	rep := &verify.Report{Tier: verify.TierOfficial}
+	rep.Add("out-of-order pairs", float64(b.OutOfSeq), 0)
+	return rep, float64(b.numKeys * maxIterations)
 }
 
 // fullVerify permutes the keys into sorted order using the final
@@ -346,44 +336,4 @@ func (b *Benchmark) fullVerify() int {
 		}
 	}
 	return bad
-}
-
-// Result reports one IS run.
-type Result struct {
-	Elapsed   time.Duration
-	Mops      float64
-	OutOfSeq  int // out-of-order pairs after the final permutation
-	KeysMoved int
-	Verify    *verify.Report
-}
-
-// Run executes the benchmark: key generation (untimed), one untimed
-// ranking pass, maxIterations timed passes, then full verification.
-func (b *Benchmark) Run() Result {
-	tm := team.New(b.threads, team.WithRecorder(b.rec), team.WithTracer(b.tr), team.WithCounters(b.pc), team.WithSchedule(b.sched))
-	defer tm.Close()
-
-	b.createSeq()
-	b.rank(tm, 1) // untimed warm pass, as in the original
-
-	b.iter = 0
-	start := time.Now()
-	for it := 1; it <= maxIterations; it++ {
-		b.Iter(tm)
-	}
-	elapsed := time.Since(start)
-
-	bad := b.fullVerify()
-
-	var res Result
-	res.Elapsed = elapsed
-	res.OutOfSeq = bad
-	res.KeysMoved = b.numKeys * maxIterations
-	if s := elapsed.Seconds(); s > 0 {
-		res.Mops = float64(res.KeysMoved) * 1e-6 / s
-	}
-	rep := &verify.Report{Tier: verify.TierOfficial}
-	rep.Add("out-of-order pairs", float64(bad), 0)
-	res.Verify = rep
-	return res
 }

@@ -1,10 +1,12 @@
 package is
 
 import (
+	"context"
 	"sort"
 	"testing"
 	"testing/quick"
 
+	"npbgo/internal/kernel"
 	"npbgo/internal/team"
 )
 
@@ -13,13 +15,23 @@ func TestClassSFullVerify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := b.Run()
-	if res.OutOfSeq != 0 {
-		t.Fatalf("%d out-of-order pairs after sort", res.OutOfSeq)
+	res := run(t, b)
+	if b.OutOfSeq != 0 {
+		t.Fatalf("%d out-of-order pairs after sort", b.OutOfSeq)
 	}
 	if !res.Verify.Passed() {
 		t.Fatalf("verification failed:\n%s", res.Verify)
 	}
+}
+
+// run drives b through the kernel driver and fails t on cancellation.
+func run(t *testing.T, b *Benchmark) kernel.Result {
+	t.Helper()
+	res, err := kernel.Run(context.Background(), b, kernel.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 func TestParallelFullVerify(t *testing.T) {
@@ -28,8 +40,8 @@ func TestParallelFullVerify(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res := b.Run(); res.OutOfSeq != 0 {
-			t.Fatalf("threads=%d: %d out-of-order pairs", n, res.OutOfSeq)
+		if run(t, b); b.OutOfSeq != 0 {
+			t.Fatalf("threads=%d: %d out-of-order pairs", n, b.OutOfSeq)
 		}
 	}
 }
@@ -229,8 +241,8 @@ func TestBucketedFullRunVerifies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res := b.Run(); res.OutOfSeq != 0 {
-			t.Fatalf("threads=%d: %d out-of-order pairs (bucketed)", threads, res.OutOfSeq)
+		if run(t, b); b.OutOfSeq != 0 {
+			t.Fatalf("threads=%d: %d out-of-order pairs (bucketed)", threads, b.OutOfSeq)
 		}
 	}
 }

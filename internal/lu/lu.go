@@ -10,15 +10,11 @@ package lu
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"npbgo/internal/grid"
+	"npbgo/internal/kernel"
 	"npbgo/internal/nscore"
-	"npbgo/internal/obs"
-	"npbgo/internal/perfcount"
 	"npbgo/internal/team"
-	"npbgo/internal/timer"
-	"npbgo/internal/trace"
 	"npbgo/internal/verify"
 )
 
@@ -41,17 +37,19 @@ const omega = 1.2
 
 // Benchmark is a configured LU instance.
 type Benchmark struct {
+	kernel.Phases // scale+update, sweeps, rhs
+
 	Class   byte
 	n       int
 	itmax   int
 	threads int
 	hyper   bool // hyperplane-scheduled sweeps instead of pipelined
-	timers  *timer.Set
-	rec     *obs.Recorder      // nil without WithObs
-	tr      *trace.Tracer      // nil without WithTrace
-	pc      *perfcount.Sampler // nil without WithCounters
-	sched   team.Schedule      // loop schedule, Static without WithSchedule
 	c       nscore.Consts
+
+	// RsdNm, ErrNm and Frc are the residual norms, error norms and
+	// surface integral of the last Verify.
+	RsdNm, ErrNm [5]float64
+	Frc          float64
 
 	u, rsd, frct []float64 // 5-vector fields, m fastest
 
@@ -99,37 +97,10 @@ func newSweepScratch(n int) *sweepScratch {
 // Option configures optional benchmark behaviour.
 type Option func(*Benchmark)
 
-// WithObs attaches a runtime-metrics recorder to the run's team:
-// per-worker busy and barrier-wait times, region counts and the
-// worker-imbalance ratio of the obs layer.
-func WithObs(rec *obs.Recorder) Option { return func(b *Benchmark) { b.rec = rec } }
-
-// WithTrace attaches an execution tracer to the run's team: per-worker
-// event timelines (region blocks, barrier and pipeline waits),
-// exportable as Chrome/Perfetto JSON — the when-view that complements
-// the obs layer's how-much totals.
-func WithTrace(tr *trace.Tracer) Option { return func(b *Benchmark) { b.tr = tr } }
-
-// WithCounters attaches a hardware-counter sampler to the run's team:
-// per-worker cycles/instructions/cache-miss deltas are charged to pc at
-// every parallel region. pc should be sized perfcount.New(threads); nil
-// leaves counter sampling disabled.
-func WithCounters(pc *perfcount.Sampler) Option { return func(b *Benchmark) { b.pc = pc } }
-
-// WithSchedule selects the team's loop schedule for the explicit
-// phases (operator sweeps, residual init/scale, flow update);
-// team.Static (the default) is the paper's block distribution. The
-// pipelined triangular sweeps always keep the static j-split: the
-// per-plane Wait/Post handshake assumes worker id owns a fixed band.
-func WithSchedule(s team.Schedule) Option { return func(b *Benchmark) { b.sched = s } }
-
 // WithHyperplane selects hyperplane (wavefront) scheduling for the
 // triangular sweeps instead of the default j-pipelined scheduling — the
 // LU-HP variant, used by the scheduling ablation benchmark.
 func WithHyperplane() Option { return func(b *Benchmark) { b.hyper = true } }
-
-// WithTimers enables per-phase profiling of the SSOR iteration.
-func WithTimers() Option { return func(b *Benchmark) { b.timers = timer.NewSet() } }
 
 // New configures LU for the given class and thread count.
 func New(class byte, threads int, opts ...Option) (*Benchmark, error) {
@@ -434,56 +405,42 @@ func (b *Benchmark) pintgr() float64 {
 	return 0.25 * (frc1 + frc2 + frc3)
 }
 
-// Result reports one LU run.
-type Result struct {
-	RsdNm   [5]float64 // final Newton residual norms
-	ErrNm   [5]float64 // solution error norms
-	Frc     float64    // surface integral
-	Elapsed time.Duration
-	Mops    float64
-	Verify  *verify.Report
-	Timers  *timer.Set // per-phase profile when WithTimers was given
-}
+// Threads returns the team size LU was built for.
+func (b *Benchmark) Threads() int { return b.threads }
 
-// Run executes the benchmark following lu.f: boundary and interior
-// initialization, forcing computation, then itmax timed SSOR iterations
-// and verification.
-func (b *Benchmark) Run() Result {
-	tm := team.New(b.threads, team.WithRecorder(b.rec), team.WithTracer(b.tr), team.WithCounters(b.pc), team.WithSchedule(b.sched))
-	defer tm.Close()
-
+// Setup sets the boundary and interior values, computes the forcing
+// and the initial residual, as lu.f does before ssor starts its timer.
+func (b *Benchmark) Setup(tm *team.Team) {
 	b.setbv()
 	b.setiv()
 	b.erhs(tm)
+	b.rhs(tm)
+}
 
-	elapsed := b.ssor(tm)
+// Steps returns the number of timed SSOR iterations.
+func (b *Benchmark) Steps() int { return b.itmax }
 
-	var res Result
-	res.Timers = b.timers
-	res.RsdNm = b.l2norm(b.rsd)
-	res.ErrNm = b.errorNorm()
-	res.Frc = b.pintgr()
-	res.Elapsed = elapsed
-	nf := float64(b.n)
-	flops := float64(b.itmax) * (1984.77*nf*nf*nf - 10923.3*nf*nf + 27770.9*nf - 144010.0)
-	if s := elapsed.Seconds(); s > 0 {
-		res.Mops = flops * 1e-6 / s
-	}
+// Verify computes the residual and error norms and the surface
+// integral and checks them against the class references.
+func (b *Benchmark) Verify(*team.Team) (*verify.Report, float64) {
+	b.RsdNm = b.l2norm(b.rsd)
+	b.ErrNm = b.errorNorm()
+	b.Frc = b.pintgr()
 
 	rep := &verify.Report{Tier: verify.TierOfficial}
 	if ref, ok := reference[b.Class]; ok {
 		for m := 0; m < 5; m++ {
-			rep.Add(fmt.Sprintf("rsdnm(%d)", m+1), res.RsdNm[m], ref.xcr[m])
+			rep.Add(fmt.Sprintf("rsdnm(%d)", m+1), b.RsdNm[m], ref.xcr[m])
 		}
 		for m := 0; m < 5; m++ {
-			rep.Add(fmt.Sprintf("errnm(%d)", m+1), res.ErrNm[m], ref.xce[m])
+			rep.Add(fmt.Sprintf("errnm(%d)", m+1), b.ErrNm[m], ref.xce[m])
 		}
-		rep.Add("frc", res.Frc, ref.xci)
+		rep.Add("frc", b.Frc, ref.xci)
 	} else {
 		rep.Tier = verify.TierNone
 	}
-	res.Verify = rep
-	return res
+	nf := float64(b.n)
+	return rep, float64(b.itmax) * (1984.77*nf*nf*nf - 10923.3*nf*nf + 27770.9*nf - 144010.0)
 }
 
 // refVals holds the 5+5+1 verification values of one class.

@@ -1,10 +1,12 @@
 package lu
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 
+	"npbgo/internal/kernel"
 	"npbgo/internal/team"
 )
 
@@ -102,14 +104,12 @@ func TestResidualDecreasesOverSSORSteps(t *testing.T) {
 	b, _ := New('S', 1)
 	tm := team.New(1)
 	defer tm.Close()
-	b.setbv()
-	b.setiv()
-	b.erhs(tm)
-	b.rhs(tm)
+	b.Setup(tm)
 	r0 := b.l2norm(b.rsd)
 	// Run a shortened SSOR loop manually.
-	b.itmax = 10
-	b.ssor(tm)
+	for i := 0; i < 10; i++ {
+		b.Step(tm, i)
+	}
 	r1 := b.l2norm(b.rsd)
 	for m := 0; m < 5; m++ {
 		if !(r1[m] < r0[m]) {
@@ -123,11 +123,10 @@ func TestParallelMatchesSerialBitwise(t *testing.T) {
 		b, _ := New('S', threads)
 		tm := team.New(threads)
 		defer tm.Close()
-		b.setbv()
-		b.setiv()
-		b.erhs(tm)
-		b.itmax = steps
-		b.ssor(tm)
+		b.Setup(tm)
+		for i := 0; i < steps; i++ {
+			b.Step(tm, i)
+		}
 		out := make([]float64, len(b.u))
 		copy(out, b.u)
 		return out
@@ -143,17 +142,20 @@ func TestParallelMatchesSerialBitwise(t *testing.T) {
 
 func TestClassSRun(t *testing.T) {
 	b, _ := New('S', 1)
-	res := b.Run()
+	res, err := kernel.Run(context.Background(), b, kernel.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Verify.Failed() {
 		t.Fatalf("class S failed verification:\n%s", res.Verify)
 	}
 	for m := 0; m < 5; m++ {
-		if math.IsNaN(res.RsdNm[m]) || math.IsNaN(res.ErrNm[m]) {
+		if math.IsNaN(b.RsdNm[m]) || math.IsNaN(b.ErrNm[m]) {
 			t.Fatal("NaN in verification norms")
 		}
 	}
-	if math.IsNaN(res.Frc) || res.Frc == 0 {
-		t.Fatalf("suspicious surface integral %v", res.Frc)
+	if math.IsNaN(b.Frc) || b.Frc == 0 {
+		t.Fatalf("suspicious surface integral %v", b.Frc)
 	}
 }
 
@@ -177,11 +179,10 @@ func TestHyperplaneMatchesPipelinedBitwise(t *testing.T) {
 		b, _ := New('S', threads, opts...)
 		tm := team.New(threads)
 		defer tm.Close()
-		b.setbv()
-		b.setiv()
-		b.erhs(tm)
-		b.itmax = 5
-		b.ssor(tm)
+		b.Setup(tm)
+		for i := 0; i < 5; i++ {
+			b.Step(tm, i)
+		}
 		out := make([]float64, len(b.u))
 		copy(out, b.u)
 		return out
@@ -197,7 +198,11 @@ func TestHyperplaneMatchesPipelinedBitwise(t *testing.T) {
 
 func TestHyperplaneRunVerifies(t *testing.T) {
 	b, _ := New('S', 2, WithHyperplane())
-	if res := b.Run(); res.Verify.Failed() {
+	res, err := kernel.Run(context.Background(), b, kernel.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Verify.Failed() {
 		t.Fatalf("hyperplane run failed verification:\n%s", res.Verify)
 	}
 }

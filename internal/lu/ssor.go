@@ -1,8 +1,6 @@
 package lu
 
 import (
-	"time"
-
 	"npbgo/internal/nscore"
 	"npbgo/internal/team"
 )
@@ -136,31 +134,23 @@ func (b *Benchmark) ensurePipe(tm *team.Team) {
 	}
 }
 
-// Iter runs one timed SSOR istep — residual scaling, the pipelined (or
+// Step runs one timed SSOR istep — residual scaling, the pipelined (or
 // hyperplane) triangular sweeps, the flow-variable update and the rhs
 // recomputation — on tm, whose Size must equal the thread count the
-// Benchmark was built with. Iter is the steady-state hook the
-// allocation gate measures: after the first call it performs no heap
-// allocation.
-func (b *Benchmark) Iter(tm *team.Team) {
+// Benchmark was built with. The sweeps are pipelined over j-blocks:
+// worker w may process plane k only after worker w-1 has finished
+// plane k (and the reverse for the upper sweep) — the in-loop
+// synchronization the paper blames for LU's scalability. After the
+// first call the step performs no heap allocation (enforced by
+// internal/allocgate).
+func (b *Benchmark) Step(tm *team.Team, _ int) {
 	b.ensurePipe(tm)
-	if b.timers != nil {
-		b.timers.Start("scale+update")
-	}
-	if b.tr != nil {
-		b.tr.BeginPhase("scale+update")
-	}
+	b.Begin("scale+update")
 	// Scale the residual by the pseudo-time step.
 	tm.Run(b.scaleBody)
+	b.End("scale+update")
 
-	if b.timers != nil {
-		b.timers.Stop("scale+update")
-		b.timers.Start("sweeps")
-	}
-	if b.tr != nil {
-		b.tr.EndPhase("scale+update")
-		b.tr.BeginPhase("sweeps")
-	}
+	b.Begin("sweeps")
 	if b.hyper {
 		b.lowerSweepHyperplane(tm)
 		b.upperSweepHyperplane(tm)
@@ -173,47 +163,14 @@ func (b *Benchmark) Iter(tm *team.Team) {
 		tm.Run(b.upperBody)
 		b.pipe.Drain()
 	}
+	b.End("sweeps")
 
-	if b.timers != nil {
-		b.timers.Stop("sweeps")
-		b.timers.Start("scale+update")
-	}
-	if b.tr != nil {
-		b.tr.EndPhase("sweeps")
-		b.tr.BeginPhase("scale+update")
-	}
+	b.Begin("scale+update")
 	// Update the flow variables.
 	tm.Run(b.updateBody)
+	b.End("scale+update")
 
-	if b.timers != nil {
-		b.timers.Stop("scale+update")
-		b.timers.Start("rhs")
-	}
-	if b.tr != nil {
-		b.tr.EndPhase("scale+update")
-		b.tr.BeginPhase("rhs")
-	}
+	b.Begin("rhs")
 	b.rhs(tm)
-	if b.timers != nil {
-		b.timers.Stop("rhs")
-	}
-	if b.tr != nil {
-		b.tr.EndPhase("rhs")
-	}
-}
-
-// ssor runs the timed SSOR iteration loop and returns the elapsed time
-// of the timed section (lu.f's ssor). The triangular sweeps are
-// pipelined over j-blocks: worker w may process plane k only after
-// worker w-1 has finished plane k (and the reverse for the upper sweep)
-// — the in-loop synchronization the paper blames for LU's scalability.
-func (b *Benchmark) ssor(tm *team.Team) time.Duration {
-	b.rhs(tm)
-	b.l2norm(b.rsd) // initial residual, reported by the cmd wrapper
-
-	start := time.Now()
-	for istep := 1; istep <= b.itmax; istep++ {
-		b.Iter(tm)
-	}
-	return time.Since(start)
+	b.End("rhs")
 }

@@ -125,7 +125,9 @@ func (cy *cycle) interp(tm *team.Team, z []float64, lj level, u []float64, lk le
 }
 
 // norm2u3 returns the discrete L2 norm (scaled by the interior point
-// count nxyz) and the max norm of r's interior on level l.
+// count nxyz) and the max norm of r's interior on level l. The sum
+// accumulates per static block, so rnm2 is bit-identical under every
+// loop schedule.
 func (cy *cycle) norm2u3(tm *team.Team, r []float64, l level, nxyz float64) (rnm2, rnmu float64) {
 	cy.tm, cy.stR, cy.stF = tm, r, l
 	tm.Run(cy.normBody)

@@ -6,14 +6,10 @@
 package mg
 
 import (
-	"context"
 	"fmt"
-	"time"
 
-	"npbgo/internal/obs"
-	"npbgo/internal/perfcount"
+	"npbgo/internal/kernel"
 	"npbgo/internal/team"
-	"npbgo/internal/trace"
 	"npbgo/internal/verify"
 )
 
@@ -36,16 +32,17 @@ var classes = map[byte]params{
 }
 
 // Benchmark is a configured MG instance with its grid hierarchy
-// allocated (repeated Run calls reuse the storage).
+// allocated (repeated runs reuse the storage).
 type Benchmark struct {
+	kernel.Phases // mg3P, resid
+
 	Class   byte
 	p       params
 	threads int
-	ctx     context.Context    // nil means not cancellable
-	rec     *obs.Recorder      // nil without WithObs
-	tr      *trace.Tracer      // nil without WithTrace
-	pc      *perfcount.Sampler // nil without WithCounters
-	sched   team.Schedule      // loop schedule, Static without WithSchedule
+
+	// RNm2 and RNmu are the final residual L2 and max norms, computed
+	// by the last timed step.
+	RNm2, RNmu float64
 
 	lv   []level     // lv[k] for k = 1..lt
 	u, r [][]float64 // per-level fields, index 1..lt
@@ -55,42 +52,9 @@ type Benchmark struct {
 	cy   *cycle // reusable stencil engine for the timed loop
 }
 
-// Option configures optional benchmark behaviour.
-type Option func(*Benchmark)
-
-// WithObs attaches a runtime-metrics recorder to the run's team:
-// per-worker busy and barrier-wait times, region counts and the
-// worker-imbalance ratio of the obs layer.
-func WithObs(rec *obs.Recorder) Option { return func(b *Benchmark) { b.rec = rec } }
-
-// WithTrace attaches an execution tracer to the run's team: per-worker
-// event timelines (region blocks, barrier and pipeline waits),
-// exportable as Chrome/Perfetto JSON — the when-view that complements
-// the obs layer's how-much totals.
-func WithTrace(tr *trace.Tracer) Option { return func(b *Benchmark) { b.tr = tr } }
-
-// WithCounters attaches a hardware-counter sampler to the run's team:
-// per-worker cycles/instructions/cache-miss deltas are charged to pc at
-// every parallel region. pc should be sized perfcount.New(threads); nil
-// leaves counter sampling disabled.
-func WithCounters(pc *perfcount.Sampler) Option { return func(b *Benchmark) { b.pc = pc } }
-
-// WithSchedule selects the team's loop schedule for the stencil plane
-// loops; team.Static (the default) is the paper's block distribution.
-// The residual-norm reduction accumulates per static block, so rnm2 is
-// bit-identical under every schedule.
-func WithSchedule(s team.Schedule) Option { return func(b *Benchmark) { b.sched = s } }
-
-// WithContext makes Run cancellable: when ctx expires the team is
-// cancelled and the timed V-cycle loop stops within about one cycle,
-// returning a partial (unverifiable) result.
-func WithContext(ctx context.Context) Option {
-	return func(b *Benchmark) { b.ctx = ctx }
-}
-
 // New configures MG for the given class and thread count and allocates
 // the hierarchy.
-func New(class byte, threads int, opts ...Option) (*Benchmark, error) {
+func New(class byte, threads int) (*Benchmark, error) {
 	p, ok := classes[class]
 	if !ok {
 		return nil, fmt.Errorf("mg: unknown class %q", string(class))
@@ -99,9 +63,6 @@ func New(class byte, threads int, opts ...Option) (*Benchmark, error) {
 		return nil, fmt.Errorf("mg: threads %d < 1", threads)
 	}
 	b := &Benchmark{Class: class, p: p, threads: threads}
-	for _, o := range opts {
-		o(b)
-	}
 
 	b.lv = make([]level, p.lt+1)
 	b.u = make([][]float64, p.lt+1)
@@ -146,72 +107,57 @@ func (b *Benchmark) mg3P(tm *team.Team) {
 	b.cy.psinv(tm, b.r[lt], b.u[lt], b.lv[lt])
 }
 
-// Iter runs one timed V-cycle plus the trailing residual update on tm,
-// whose Size must equal the thread count the Benchmark was built with.
-// Iter is the steady-state hook the allocation gate measures: after the
-// first call it performs no heap allocation.
-func (b *Benchmark) Iter(tm *team.Team) {
-	b.mg3P(tm)
-	b.cy.resid(tm, b.r[b.p.lt], b.u[b.p.lt], b.v, b.lv[b.p.lt])
-}
+// Threads returns the team size MG was built for.
+func (b *Benchmark) Threads() int { return b.threads }
 
-// Result reports one MG run.
-type Result struct {
-	RNm2    float64 // final residual L2 norm
-	RNmu    float64 // final residual max norm
-	Elapsed time.Duration
-	Mops    float64
-	Verify  *verify.Report
-}
-
-// Run executes the benchmark: zran3 setup, one untimed feed-through
-// cycle, re-initialization, then nit timed V-cycles and verification,
-// following mg.f.
-func (b *Benchmark) Run() Result {
-	tm := team.New(b.threads, team.WithRecorder(b.rec), team.WithTracer(b.tr), team.WithCounters(b.pc), team.WithSchedule(b.sched))
-	defer tm.Close()
-	if b.ctx != nil {
-		stop := tm.WatchContext(b.ctx)
-		defer stop()
-	}
-
+// Setup generates the zran3 right-hand side, runs one untimed
+// feed-through cycle and re-initializes, following mg.f.
+func (b *Benchmark) Setup(tm *team.Team) {
 	lt := b.p.lt
 	fin := b.lv[lt]
-	nx := b.p.nx
-	nxyz := float64(nx) * float64(nx) * float64(nx)
-
-	// Untimed warm-up cycle.
 	zero3(b.u[lt])
-	zran3(b.v, fin, nx, nx)
+	zran3(b.v, fin, b.p.nx, b.p.nx)
 	b.cy.resid(tm, b.r[lt], b.u[lt], b.v, fin)
 	b.mg3P(tm)
 	b.cy.resid(tm, b.r[lt], b.u[lt], b.v, fin)
-
-	// Reset and time.
 	zero3(b.u[lt])
-	zran3(b.v, fin, nx, nx)
-	start := time.Now()
-	b.cy.resid(tm, b.r[lt], b.u[lt], b.v, fin)
-	for it := 1; it <= b.p.nit; it++ {
-		if tm.Cancelled() {
-			break
-		}
-		b.Iter(tm)
-	}
-	rnm2, rnmu := b.cy.norm2u3(tm, b.r[lt], fin, nxyz)
-	elapsed := time.Since(start)
+	zran3(b.v, fin, b.p.nx, b.p.nx)
+}
 
-	var res Result
-	res.RNm2 = rnm2
-	res.RNmu = rnmu
-	res.Elapsed = elapsed
+// Steps returns the number of timed V-cycles.
+func (b *Benchmark) Steps() int { return b.p.nit }
+
+// Step runs one timed V-cycle plus the trailing residual update on tm,
+// whose Size must equal the thread count the Benchmark was built with.
+// The first step also computes the initial residual and the last one
+// the final norms, which mg.f times too. Every other step performs no
+// heap allocation (enforced by internal/allocgate).
+func (b *Benchmark) Step(tm *team.Team, i int) {
+	lt := b.p.lt
+	fin := b.lv[lt]
+	if i == 0 {
+		b.Begin("resid")
+		b.cy.resid(tm, b.r[lt], b.u[lt], b.v, fin)
+		b.End("resid")
+	}
+	b.Begin("mg3P")
+	b.mg3P(tm)
+	b.End("mg3P")
+	b.Begin("resid")
+	b.cy.resid(tm, b.r[lt], b.u[lt], b.v, fin)
+	b.End("resid")
+	if i == b.p.nit-1 {
+		nx := float64(b.p.nx)
+		b.RNm2, b.RNmu = b.cy.norm2u3(tm, b.r[lt], fin, nx*nx*nx)
+	}
+}
+
+// Verify checks the final residual norm against the class reference.
+func (b *Benchmark) Verify(*team.Team) (*verify.Report, float64) {
+	rep := &verify.Report{Tier: b.p.tier}
+	rep.Add("rnm2", b.RNm2, b.p.rnm2)
 	// Standard NPB MG flop estimate: 58 flops per fine-grid point per
 	// iteration (the usual figure quoted for the V-cycle plus resid).
-	if s := elapsed.Seconds(); s > 0 {
-		res.Mops = 58.0 * float64(b.p.nit) * nxyz * 1e-6 / s
-	}
-	rep := &verify.Report{Tier: b.p.tier}
-	rep.Add("rnm2", rnm2, b.p.rnm2)
-	res.Verify = rep
-	return res
+	nx := float64(b.p.nx)
+	return rep, 58.0 * float64(b.p.nit) * (nx * nx * nx)
 }

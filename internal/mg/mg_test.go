@@ -1,9 +1,11 @@
 package mg
 
 import (
+	"context"
 	"math"
 	"testing"
 
+	"npbgo/internal/kernel"
 	"npbgo/internal/team"
 )
 
@@ -12,10 +14,19 @@ func TestClassSVerifies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := b.Run()
-	if !res.Verify.Passed() {
-		t.Fatalf("class S failed verification:\n%s", res.Verify)
+	if rep := run(t, b).Verify; !rep.Passed() {
+		t.Fatalf("class S failed verification:\n%s", rep)
 	}
+}
+
+// run drives b through the kernel driver and fails t on cancellation.
+func run(t *testing.T, b *Benchmark) kernel.Result {
+	t.Helper()
+	res, err := kernel.Run(context.Background(), b, kernel.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 func TestParallelMatchesReference(t *testing.T) {
@@ -24,8 +35,8 @@ func TestParallelMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res := b.Run(); !res.Verify.Passed() {
-			t.Fatalf("threads=%d failed:\n%s", n, res.Verify)
+		if rep := run(t, b).Verify; !rep.Passed() {
+			t.Fatalf("threads=%d failed:\n%s", n, rep)
 		}
 	}
 }

@@ -11,14 +11,10 @@ package sp
 import (
 	"fmt"
 	"math"
-	"time"
 
+	"npbgo/internal/kernel"
 	"npbgo/internal/nscore"
-	"npbgo/internal/obs"
-	"npbgo/internal/perfcount"
 	"npbgo/internal/team"
-	"npbgo/internal/timer"
-	"npbgo/internal/trace"
 	"npbgo/internal/verify"
 )
 
@@ -42,6 +38,8 @@ var bts = math.Sqrt(0.5)
 
 // Benchmark is a configured SP instance.
 type Benchmark struct {
+	kernel.Phases // rhs, txinvr, xsolve, ysolve, zsolve, add
+
 	Class   byte
 	n       int
 	niter   int
@@ -49,11 +47,8 @@ type Benchmark struct {
 	c       nscore.Consts
 	f       *nscore.Field
 
-	timers *timer.Set         // nil unless WithTimers
-	rec    *obs.Recorder      // nil without WithObs
-	tr     *trace.Tracer      // nil without WithTrace
-	pc     *perfcount.Sampler // nil without WithCounters
-	sched  team.Schedule      // loop schedule, Static without WithSchedule
+	// XCR and XCE are the residual and error norms of the last Verify.
+	XCR, XCE [5]float64
 
 	// Derived constants specific to SP's scalar solver.
 	dttx1, dttx2, dtty1, dtty2, dttz1, dttz2 float64
@@ -101,38 +96,8 @@ func newLineScratch(n int) *lineScratch {
 // (0..4) of cell i.
 func band(a []float64, b, i int) *float64 { return &a[b+5*i] }
 
-// Option configures optional benchmark behaviour.
-type Option func(*Benchmark)
-
-// WithObs attaches a runtime-metrics recorder to the run's team:
-// per-worker busy and barrier-wait times, region counts and the
-// worker-imbalance ratio of the obs layer.
-func WithObs(rec *obs.Recorder) Option { return func(b *Benchmark) { b.rec = rec } }
-
-// WithTrace attaches an execution tracer to the run's team: per-worker
-// event timelines (region blocks, barrier and pipeline waits),
-// exportable as Chrome/Perfetto JSON — the when-view that complements
-// the obs layer's how-much totals.
-func WithTrace(tr *trace.Tracer) Option { return func(b *Benchmark) { b.tr = tr } }
-
-// WithCounters attaches a hardware-counter sampler to the run's team:
-// per-worker cycles/instructions/cache-miss deltas are charged to pc at
-// every parallel region. pc should be sized perfcount.New(threads); nil
-// leaves counter sampling disabled.
-func WithCounters(pc *perfcount.Sampler) Option { return func(b *Benchmark) { b.pc = pc } }
-
-// WithSchedule selects the team's loop schedule for the plane loops of
-// the RHS evaluation, the eigenvector transforms and the three factor
-// sweeps; team.Static (the default) is the paper's block distribution.
-// Every loop writes disjoint planes, so results are bit-identical under
-// every schedule.
-func WithSchedule(s team.Schedule) Option { return func(b *Benchmark) { b.sched = s } }
-
-// WithTimers enables per-phase profiling of the factorization steps.
-func WithTimers() Option { return func(b *Benchmark) { b.timers = timer.NewSet() } }
-
 // New configures SP for the given class and thread count.
-func New(class byte, threads int, opts ...Option) (*Benchmark, error) {
+func New(class byte, threads int) (*Benchmark, error) {
 	spec, ok := classes[class]
 	if !ok {
 		return nil, fmt.Errorf("sp: unknown class %q", string(class))
@@ -141,9 +106,6 @@ func New(class byte, threads int, opts ...Option) (*Benchmark, error) {
 		return nil, fmt.Errorf("sp: threads %d < 1", threads)
 	}
 	b := &Benchmark{Class: class, n: spec.size, niter: spec.niter, threads: threads}
-	for _, o := range opts {
-		o(b)
-	}
 	b.c = nscore.SetConstants(spec.size, spec.dt)
 	b.f = nscore.NewField(spec.size, true)
 	c := &b.c
@@ -304,110 +266,69 @@ func (b *Benchmark) tzetar(tm *team.Team) {
 	tm.Run(b.tzetarBody)
 }
 
-// adi advances one SP time step.
-func (b *Benchmark) adi(tm *team.Team) {
-	b.phaseStart("rhs")
-	b.f.ComputeRHS(&b.c, tm)
-	b.phaseStop("rhs")
-	b.phaseStart("txinvr")
-	b.txinvr(tm)
-	b.phaseStop("txinvr")
-	b.phaseStart("xsolve")
-	b.xSolve(tm)
-	b.phaseStop("xsolve")
-	b.phaseStart("ysolve")
-	b.ySolve(tm)
-	b.phaseStop("ysolve")
-	b.phaseStart("zsolve")
-	b.zSolve(tm)
-	b.phaseStop("zsolve")
-	b.phaseStart("add")
-	b.f.Add(tm)
-	b.phaseStop("add")
-}
+// Threads returns the team size SP was built for.
+func (b *Benchmark) Threads() int { return b.threads }
 
-// phaseStart begins charging the named timer when profiling.
-func (b *Benchmark) phaseStart(name string) {
-	if b.timers != nil {
-		b.timers.Start(name)
-	}
-}
-
-// phaseStop stops charging the named timer when profiling.
-func (b *Benchmark) phaseStop(name string) {
-	if b.timers != nil {
-		b.timers.Stop(name)
-	}
-}
-
-// Iter advances one steady-state time step on tm, whose Size must equal
-// the thread count the Benchmark was built with. Every region body is
-// prebuilt, so the step performs no heap allocation (enforced at a zero
-// budget by internal/allocgate).
-func (b *Benchmark) Iter(tm *team.Team) {
-	b.adi(tm)
-}
-
-// Result reports one SP run.
-type Result struct {
-	XCR     [5]float64
-	XCE     [5]float64
-	Elapsed time.Duration
-	Mops    float64
-	Verify  *verify.Report
-	Timers  *timer.Set // per-phase profile when WithTimers was given
-}
-
-// Run executes the benchmark following sp.f: initialization, one
-// feed-through step, re-initialization, then niter timed steps and
-// verification.
-func (b *Benchmark) Run() Result {
-	tm := team.New(b.threads, team.WithRecorder(b.rec), team.WithTracer(b.tr), team.WithCounters(b.pc), team.WithSchedule(b.sched))
-	defer tm.Close()
-
+// Setup initializes the field, runs one feed-through step and
+// re-initializes, as sp.f does before its timer starts.
+func (b *Benchmark) Setup(tm *team.Team) {
 	b.f.Initialize(&b.c)
 	b.f.ExactRHS(&b.c)
-
-	b.adi(tm)
+	b.Step(tm, 0)
 	b.f.Initialize(&b.c)
+}
 
-	start := time.Now()
-	for step := 1; step <= b.niter; step++ {
-		b.Iter(tm)
-	}
-	elapsed := time.Since(start)
+// Steps returns the number of timed time steps.
+func (b *Benchmark) Steps() int { return b.niter }
 
+// Step advances one time step on tm, whose Size must equal the thread
+// count the Benchmark was built with, bracketing each phase. Every
+// region body is prebuilt, so the step performs no heap allocation
+// (enforced at a zero budget by internal/allocgate).
+func (b *Benchmark) Step(tm *team.Team, _ int) {
+	b.Begin("rhs")
 	b.f.ComputeRHS(&b.c, tm)
-	xcr := b.f.RHSNorm()
-	for m := 0; m < 5; m++ {
-		xcr[m] /= b.c.Dt
-	}
-	xce := b.f.ErrorNorm(&b.c)
+	b.End("rhs")
+	b.Begin("txinvr")
+	b.txinvr(tm)
+	b.End("txinvr")
+	b.Begin("xsolve")
+	b.xSolve(tm)
+	b.End("xsolve")
+	b.Begin("ysolve")
+	b.ySolve(tm)
+	b.End("ysolve")
+	b.Begin("zsolve")
+	b.zSolve(tm)
+	b.End("zsolve")
+	b.Begin("add")
+	b.f.Add(tm)
+	b.End("add")
+}
 
-	var res Result
-	res.XCR = xcr
-	res.XCE = xce
-	res.Elapsed = elapsed
-	res.Timers = b.timers
-	nf := float64(b.n)
-	flops := float64(b.niter) * (881.174*nf*nf*nf - 4683.91*nf*nf + 11484.5*nf - 19272.4)
-	if s := elapsed.Seconds(); s > 0 {
-		res.Mops = flops * 1e-6 / s
+// Verify evaluates xcr = ||rhs||/dt from a fresh rhs and the solution
+// error xce and checks them against the class references.
+func (b *Benchmark) Verify(tm *team.Team) (*verify.Report, float64) {
+	b.f.ComputeRHS(&b.c, tm)
+	b.XCR = b.f.RHSNorm()
+	for m := 0; m < 5; m++ {
+		b.XCR[m] /= b.c.Dt
 	}
+	b.XCE = b.f.ErrorNorm(&b.c)
 
 	rep := &verify.Report{Tier: verify.TierOfficial}
 	if ref, ok := reference[b.Class]; ok {
 		for m := 0; m < 5; m++ {
-			rep.Add(fmt.Sprintf("xcr(%d)", m+1), xcr[m], ref.xcr[m])
+			rep.Add(fmt.Sprintf("xcr(%d)", m+1), b.XCR[m], ref.xcr[m])
 		}
 		for m := 0; m < 5; m++ {
-			rep.Add(fmt.Sprintf("xce(%d)", m+1), xce[m], ref.xce[m])
+			rep.Add(fmt.Sprintf("xce(%d)", m+1), b.XCE[m], ref.xce[m])
 		}
 	} else {
 		rep.Tier = verify.TierNone
 	}
-	res.Verify = rep
-	return res
+	nf := float64(b.n)
+	return rep, float64(b.niter) * (881.174*nf*nf*nf - 4683.91*nf*nf + 11484.5*nf - 19272.4)
 }
 
 // refVals holds the 5+5 verification norms of one class.

@@ -19,16 +19,10 @@ import (
 	"fmt"
 	"time"
 
-	"npbgo/internal/bt"
-	"npbgo/internal/cg"
-	"npbgo/internal/ep"
-	"npbgo/internal/ft"
-	"npbgo/internal/is"
-	"npbgo/internal/lu"
-	"npbgo/internal/mg"
+	"npbgo/internal/kernel"
 	"npbgo/internal/obs"
 	"npbgo/internal/perfcount"
-	"npbgo/internal/sp"
+	"npbgo/internal/suite"
 	"npbgo/internal/team"
 	"npbgo/internal/timer"
 	"npbgo/internal/trace"
@@ -68,8 +62,9 @@ type Config struct {
 	// section, reproducing the CG thread-placement fix of the paper's
 	// §5.2. It currently affects CG only (where the paper applied it).
 	Warmup bool
-	// Profile enables per-phase timing where the benchmark supports it
-	// (BT, SP, LU); the profile text lands in Result.Profile.
+	// Profile enables per-phase timing of the timed section; the
+	// profile text lands in Result.Profile and its structured form in
+	// Result.Phases.
 	Profile bool
 	// Buckets selects IS's bucketed ranking algorithm (the C original's
 	// USE_BUCKETS path). Ignored by the other benchmarks.
@@ -79,7 +74,7 @@ type Config struct {
 	// worker-imbalance ratio land in Result.Obs, and the run's recorder
 	// is registered in the obs expvar registry under
 	// "<bench>.<class>.t<threads>" for live inspection. Obs implies
-	// Profile where the benchmark supports per-phase timers.
+	// Profile.
 	Obs bool
 	// Trace records per-worker event timelines for the run — region
 	// blocks, barrier arrive/release, LU pipeline waits, cancellations
@@ -120,8 +115,7 @@ type Result struct {
 	Detail    string  // the full verification printout
 	Profile   string  // per-phase timing profile, if requested/available
 	// Phases is the structured form of Profile (seconds and lap counts
-	// per phase), nil unless Profile/Obs was requested and the
-	// benchmark owns a timer set.
+	// per phase), nil unless Profile/Obs was requested.
 	Phases []timer.Phase
 	// Obs holds the run's per-worker runtime metrics, nil unless
 	// Config.Obs was set.
@@ -199,12 +193,14 @@ func validBenchmark(b Benchmark) bool {
 // RunContext executes one benchmark run under a context. The
 // configuration is validated up front, worker panics are isolated and
 // returned (never propagated — the process survives a crashing region),
-// and the kernels that support cooperative cancellation (CG, EP, FT, MG)
-// stop within roughly one outer iteration of ctx expiring. All failures
-// come back as a *RunError identifying the cell and the failure kind.
+// and every benchmark stops within one timed step (or the untimed setup
+// in flight) of ctx expiring; EP, whose sweep is a single step, polls
+// at every batch. All failures come back as a *RunError identifying the
+// cell and the failure kind.
 //
-// On cancellation the returned Result holds whatever partial timing was
-// accumulated; it is not meaningful for reporting.
+// On cancellation the returned Result holds the partial timing of the
+// steps that ran and no verification; it is not meaningful for
+// reporting.
 func RunContext(ctx context.Context, cfg Config) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background() //npblint:ignore ctxpropagate nil means "not cancellable"; Background is the documented default
@@ -267,7 +263,8 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 			}
 		}
 	}
-	err, panicked := runBenchmark(ctx, cfg, sched, rec, tr, pc, &res)
+	kind, err := runBenchmark(ctx, cfg, kernel.Config{Obs: rec, Trace: tr, Counters: pc,
+		Schedule: sched, Profile: cfg.Profile || cfg.Obs}, &res)
 	if pc != nil {
 		res.Counters = pc.Snapshot()
 		if n := res.Counters.Note; n != "" && res.CountersNote == "" {
@@ -282,11 +279,8 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 		// so the rings are quiescent and safe to snapshot.
 		res.Trace = tr.Snapshot()
 	}
-	if panicked {
-		return fail(ErrPanic, err)
-	}
 	if err != nil {
-		return fail(ErrConfig, err)
+		return fail(kind, err)
 	}
 	if err := ctx.Err(); err != nil {
 		return fail(ErrCancelled, err)
@@ -297,26 +291,14 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 	return res, nil
 }
 
-// setProfile fills the textual and structured phase profiles from a
-// benchmark's timer set (nil-safe).
-func setProfile(res *Result, ts *timer.Set) {
-	if ts == nil {
-		return
-	}
-	res.Profile = ts.String()
-	res.Phases = ts.Phases()
-}
-
-// runBenchmark dispatches to the benchmark implementation with panic
-// isolation: any panic escaping the run — a *team.PanicError re-raised
-// by a crashed worker region, or a master-side panic — is recovered and
-// returned with panicked = true. rec, tr and pc, when non-nil, are
-// attached to the run's team for per-worker metrics, event timelines
-// and hardware-counter attribution.
-func runBenchmark(ctx context.Context, cfg Config, sched team.Schedule, rec *obs.Recorder, tr *trace.Tracer, pc *perfcount.Sampler, res *Result) (err error, panicked bool) {
+// runBenchmark builds the configured benchmark from the suite table and
+// drives it with kcfg, with panic isolation: any panic escaping the run
+// — a *team.PanicError re-raised by a crashed worker region, or a
+// master-side panic — is recovered and returned as kind ErrPanic.
+func runBenchmark(ctx context.Context, cfg Config, kcfg kernel.Config, res *Result) (kind string, err error) {
 	defer func() {
 		if v := recover(); v != nil {
-			panicked = true
+			kind = ErrPanic
 			if pe, ok := v.(*team.PanicError); ok {
 				err = pe
 			} else {
@@ -324,108 +306,22 @@ func runBenchmark(ctx context.Context, cfg Config, sched team.Schedule, rec *obs
 			}
 		}
 	}()
-	profile := cfg.Profile || cfg.Obs
-	switch cfg.Benchmark {
-	case BT:
-		opts := []bt.Option{bt.WithObs(rec), bt.WithTrace(tr), bt.WithCounters(pc), bt.WithSchedule(sched)}
-		if profile {
-			opts = append(opts, bt.WithTimers())
-		}
-		b, err := bt.New(cfg.Class, cfg.Threads, opts...)
-		if err != nil {
-			return err, false
-		}
-		r := b.Run()
-		res.Elapsed, res.Mops = r.Elapsed, r.Mops
-		setProfile(res, r.Timers)
-		fromReport(res, r.Verify)
-	case SP:
-		opts := []sp.Option{sp.WithObs(rec), sp.WithTrace(tr), sp.WithCounters(pc), sp.WithSchedule(sched)}
-		if profile {
-			opts = append(opts, sp.WithTimers())
-		}
-		b, err := sp.New(cfg.Class, cfg.Threads, opts...)
-		if err != nil {
-			return err, false
-		}
-		r := b.Run()
-		res.Elapsed, res.Mops = r.Elapsed, r.Mops
-		setProfile(res, r.Timers)
-		fromReport(res, r.Verify)
-	case LU:
-		opts := []lu.Option{lu.WithObs(rec), lu.WithTrace(tr), lu.WithCounters(pc), lu.WithSchedule(sched)}
-		if profile {
-			opts = append(opts, lu.WithTimers())
-		}
-		b, err := lu.New(cfg.Class, cfg.Threads, opts...)
-		if err != nil {
-			return err, false
-		}
-		r := b.Run()
-		res.Elapsed, res.Mops = r.Elapsed, r.Mops
-		setProfile(res, r.Timers)
-		fromReport(res, r.Verify)
-	case FT:
-		b, err := ft.New(cfg.Class, cfg.Threads, ft.WithContext(ctx), ft.WithObs(rec), ft.WithTrace(tr), ft.WithCounters(pc), ft.WithSchedule(sched))
-		if err != nil {
-			return err, false
-		}
-		r := b.Run()
-		res.Elapsed, res.Mops = r.Elapsed, r.Mops
-		fromReport(res, r.Verify)
-	case MG:
-		b, err := mg.New(cfg.Class, cfg.Threads, mg.WithContext(ctx), mg.WithObs(rec), mg.WithTrace(tr), mg.WithCounters(pc), mg.WithSchedule(sched))
-		if err != nil {
-			return err, false
-		}
-		r := b.Run()
-		res.Elapsed, res.Mops = r.Elapsed, r.Mops
-		fromReport(res, r.Verify)
-	case CG:
-		opts := []cg.Option{cg.WithContext(ctx), cg.WithObs(rec), cg.WithTrace(tr), cg.WithCounters(pc), cg.WithSchedule(sched)}
-		if cfg.Warmup {
-			opts = append(opts, cg.WithWarmup())
-		}
-		if profile {
-			opts = append(opts, cg.WithTimers())
-		}
-		b, err := cg.New(cfg.Class, cfg.Threads, opts...)
-		if err != nil {
-			return err, false
-		}
-		r := b.Run()
-		res.Elapsed, res.Mops = r.Elapsed, r.Mops
-		setProfile(res, r.Timers)
-		fromReport(res, r.Verify)
-	case IS:
-		opts := []is.Option{is.WithObs(rec), is.WithTrace(tr), is.WithCounters(pc), is.WithSchedule(sched)}
-		if cfg.Buckets {
-			opts = append(opts, is.WithBuckets())
-		}
-		b, err := is.New(cfg.Class, cfg.Threads, opts...)
-		if err != nil {
-			return err, false
-		}
-		r := b.Run()
-		res.Elapsed, res.Mops = r.Elapsed, r.Mops
-		fromReport(res, r.Verify)
-	case EP:
-		opts := []ep.Option{ep.WithContext(ctx), ep.WithObs(rec), ep.WithTrace(tr), ep.WithCounters(pc), ep.WithSchedule(sched)}
-		if profile {
-			opts = append(opts, ep.WithTimers())
-		}
-		b, err := ep.New(cfg.Class, cfg.Threads, opts...)
-		if err != nil {
-			return err, false
-		}
-		r := b.Run()
-		res.Elapsed, res.Mops = r.Elapsed, r.Mops
-		setProfile(res, r.Timers)
-		fromReport(res, r.Verify)
-	default:
-		return fmt.Errorf("npbgo: unknown benchmark %q", cfg.Benchmark), false
+	b, err := suite.New(string(cfg.Benchmark), cfg.Class, cfg.Threads,
+		suite.Options{Warmup: cfg.Warmup, Buckets: cfg.Buckets})
+	if err != nil {
+		return ErrConfig, err
 	}
-	return nil, false
+	r, err := kernel.Run(ctx, b, kcfg)
+	res.Elapsed, res.Mops = r.Elapsed, r.Mops
+	if r.Timers != nil {
+		res.Profile = r.Timers.String()
+		res.Phases = r.Timers.Phases()
+	}
+	if err != nil {
+		return ErrCancelled, err
+	}
+	fromReport(res, r.Verify)
+	return "", nil
 }
 
 // String formats a result as one NPB-style summary line.

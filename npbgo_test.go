@@ -77,13 +77,14 @@ func TestWarmupOption(t *testing.T) {
 }
 
 // TestScheduleOptionEquivalence: every loop schedule must produce the
-// exact same verification printout as the static default — the computed
-// values are printed at full float64 precision, so an identical Detail
-// string is a bit-identity check on the benchmark's numerical results.
-// CG exercises the block-indexed reduction path, MG the per-block norm
-// maxima.
+// exact same verification printout as the static default for every
+// benchmark — the computed values are printed at full float64
+// precision, so an identical Detail string is a bit-identity check on
+// the benchmark's numerical results. CG and EP exercise the
+// block-indexed reduction path, MG the per-block norm maxima, LU and IS
+// the loops that must stay static beside the scheduled ones.
 func TestScheduleOptionEquivalence(t *testing.T) {
-	for _, b := range []npbgo.Benchmark{npbgo.CG, npbgo.MG} {
+	for _, b := range npbgo.Benchmarks() {
 		base, err := npbgo.Run(npbgo.Config{Benchmark: b, Class: 'S', Threads: 3})
 		if err != nil {
 			t.Fatal(err)

@@ -3,11 +3,13 @@ package npbgo_test
 import (
 	"context"
 	"errors"
+	"runtime/debug"
 	"testing"
 	"time"
 
 	"npbgo"
 	"npbgo/internal/fault"
+	"npbgo/internal/suite"
 	"npbgo/internal/team"
 )
 
@@ -141,4 +143,72 @@ func TestRunContextDeadlineCancelsFTAndMG(t *testing.T) {
 			t.Fatalf("%s: err = %v", b, err)
 		}
 	}
+}
+
+// TestRunContextDeadlineStopsEveryBenchmark gives every benchmark a
+// 200ms deadline at a class whose uncut run lasts over a second and
+// checks the run comes back cancelled within one timed step of the
+// deadline — or at the end of the untimed construction and setup, when
+// the deadline lands there — plus slack. The setup and step lengths are
+// measured on the same host just before. EP's whole sweep is one step
+// whose workers poll at every batch, so it gets the slack alone.
+func TestRunContextDeadlineStopsEveryBenchmark(t *testing.T) {
+	if testing.Short() {
+		t.Skip("class W/A runs in -short mode")
+	}
+	const (
+		threads  = 2
+		deadline = 200 * time.Millisecond
+		slack    = 300 * time.Millisecond
+	)
+	cases := []struct {
+		bench   npbgo.Benchmark
+		class   byte
+		perStep bool // false: the step polls the team itself (EP)
+	}{
+		{npbgo.BT, 'W', true}, {npbgo.SP, 'W', true}, {npbgo.LU, 'W', true},
+		{npbgo.FT, 'A', true}, {npbgo.MG, 'A', true}, {npbgo.CG, 'A', true},
+		{npbgo.IS, 'A', true}, {npbgo.EP, 'W', false},
+	}
+	for _, c := range cases {
+		limit := deadline + slack
+		if c.perStep {
+			setup, step := setupAndStep(t, c.bench, c.class, threads)
+			limit = max(setup, deadline+step) + slack
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), deadline)
+		start := time.Now()
+		_, err := npbgo.RunContext(ctx, npbgo.Config{Benchmark: c.bench, Class: c.class, Threads: threads})
+		took := time.Since(start)
+		cancel()
+		var re *npbgo.RunError
+		if !errors.As(err, &re) || re.Kind != npbgo.ErrCancelled || !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("%s.%c: err = %v, want *RunError kind %q wrapping DeadlineExceeded",
+				c.bench, c.class, err, npbgo.ErrCancelled)
+			continue
+		}
+		if took > limit {
+			t.Errorf("%s.%c: returned %v after start, want within %v", c.bench, c.class, took, limit)
+		}
+	}
+}
+
+// setupAndStep times one benchmark's construction plus untimed setup,
+// and its first timed step (the longest for FT and MG, which time
+// their prologue there), outside the driver.
+func setupAndStep(t *testing.T, bench npbgo.Benchmark, class byte, threads int) (setup, step time.Duration) {
+	t.Helper()
+	defer debug.FreeOSMemory()
+	start := time.Now()
+	b, err := suite.New(string(bench), class, threads, suite.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tm := team.New(threads)
+	defer tm.Close()
+	b.Setup(tm)
+	setup = time.Since(start)
+	start = time.Now()
+	b.Step(tm, 0)
+	return setup, time.Since(start)
 }

@@ -2,6 +2,8 @@ package npbgo_test
 
 import (
 	"bytes"
+	"reflect"
+	"strings"
 	"testing"
 
 	"npbgo"
@@ -122,5 +124,43 @@ func TestTracedSerialRun(t *testing.T) {
 	}
 	if _, err := trace.Validate(buf.Bytes()); err != nil {
 		t.Fatalf("serial trace fails validation: %v", err)
+	}
+}
+
+// TestEveryBenchmarkReportsPhases: with Profile every benchmark reports
+// a non-empty phase profile, and with Trace each master-side phase of
+// that profile is a phase span on the master track and vice versa. EP's
+// phases are per-worker (t_batch/w<id>) and stay off the master track.
+func TestEveryBenchmarkReportsPhases(t *testing.T) {
+	for _, b := range npbgo.Benchmarks() {
+		res, err := npbgo.Run(npbgo.Config{Benchmark: b, Class: 'S', Threads: 2, Profile: true, Trace: true})
+		if err != nil {
+			t.Fatalf("%s: %v", b, err)
+		}
+		if len(res.Phases) == 0 {
+			t.Errorf("%s: Profile set but Result.Phases is empty", b)
+		}
+		profiled := map[string]bool{}
+		for _, p := range res.Phases {
+			if !strings.Contains(p.Name, "/w") {
+				profiled[p.Name] = true
+			}
+		}
+		spans := map[string]bool{}
+		for _, e := range res.Trace.Tracks[res.Trace.Workers].Events {
+			if e.Kind == trace.KindPhaseBegin {
+				spans[e.Name] = true
+			}
+		}
+		if !reflect.DeepEqual(profiled, spans) {
+			t.Errorf("%s: profiled phases %v, trace phase spans %v", b, profiled, spans)
+		}
+		var buf bytes.Buffer
+		if err := res.Trace.WriteChrome(&buf, string(b)+".S t2"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := trace.Validate(buf.Bytes()); err != nil {
+			t.Errorf("%s.S trace fails validation: %v", b, err)
+		}
 	}
 }
